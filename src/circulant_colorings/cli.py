@@ -291,7 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--out", default=None, help="write data output to this file")
     common.add_argument(
-        "--budget-states", type=int, default=None, help="cap on window states searched"
+        "--budget-states",
+        type=int,
+        default=None,
+        help="cap on window states and on candidate matrices searched",
     )
     common.add_argument(
         "--budget-words", type=int, default=None, help="cap on candidate words searched"

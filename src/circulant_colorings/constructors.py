@@ -16,17 +16,11 @@ index is derived per edge, since i itself may be odd.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
+from math import factorial, prod
 
-from .core import (
-    BudgetExceededError,
-    FiniteColoring,
-    PeriodicColoring,
-    make_odd_distance_set,
-)
-from .perfection import check_perfect
-
-DEFAULT_WORD_BUDGET = 1 << 27
+from .core import BudgetExceededError, FiniteColoring, PeriodicColoring
+from .enumeration import DEFAULT_WORD_BUDGET
 
 
 def path_colorings(k: int) -> tuple[PeriodicColoring, ...]:
@@ -360,44 +354,20 @@ def two_color_cases(n: int, t: int) -> TwoColorCases:
     return TwoColorCases(tuple(mono), tuple(bip))
 
 
-def _distinct_arrangements(counts: tuple[int, ...]):
-    """Distinct sequences with counts[c] copies of color c+1."""
-    items = tuple(
-        color for color, count in enumerate(counts, start=1) for _ in range(count)
-    )
-    seen = set()
-    for arrangement in permutations(items):
-        if arrangement not in seen:
-            seen.add(arrangement)
-            yield arrangement
-
-
 def count_nonbipartite_4n(n: int, k: int, counts: tuple[int, ...]) -> int:
     """Count non-bipartite perfect colorings of Ci_{4n}(D_n) with the given
-    per-part color counts, by exhaustive generation.
+    per-part color counts.
 
     counts[j-1] is the number of vertices of color j in each part.  At least
-    two colors must be present.  Colors with count 0 simply do not occur, so
-    the check runs over the compressed color set.
+    two colors must be present.  Both parts then use the same colors, so they
+    are never disjoint, and equal counts make every pair of part words
+    balanced, hence perfect: the count is multinomial(2n; counts) squared.
     """
     counts = tuple(counts)
     if len(counts) != k:
         raise ValueError(f"expected {k} counts, got {len(counts)}")
     if any(c < 0 for c in counts) or sum(counts) != 2 * n:
         raise ValueError(f"counts must be nonnegative and sum to {2 * n}: {counts!r}")
-    present = [c for c in range(1, k + 1) if counts[c - 1] > 0]
-    if len(present) < 2:
+    if sum(1 for c in counts if c > 0) < 2:
         raise ValueError("at least two colors must be present")
-    squeezed = tuple(counts[c - 1] for c in present)
-    k_eff = len(present)
-    dset = make_odd_distance_set(n)
-    total = 0
-    arrangements = tuple(_distinct_arrangements(squeezed))
-    for even_word in arrangements:
-        for odd_word in arrangements:
-            coloring = FiniteColoring(_interleave(even_word, odd_word), k_eff)
-            if not (set(even_word) & set(odd_word)):
-                continue
-            if check_perfect(coloring, dset).is_perfect:
-                total += 1
-    return total
+    return (factorial(2 * n) // prod(map(factorial, counts))) ** 2

@@ -10,6 +10,8 @@ vertex's incidence multiset maps bijectively -- which is the fact that lets
 perfect colorings transfer between the two graphs.
 
 Colors are the integers 1..k and a coloring must use every one of them.
+Distances, colors, color counts and matrix entries must have type int
+exactly: a bool is an int subclass, but True is not accepted as 1.
 Neighborhoods are always computed from offsets; an edge list is materialized
 only for rendering.  Every type here is immutable and every function is pure.
 """
@@ -37,7 +39,8 @@ class DistanceSet:
         d = self.distances
         if not d:
             raise ValueError("distance set must be nonempty")
-        if any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
+        bad = any(type(x) is not int or x < 1 for x in d)
+        if bad or any(b <= a for a, b in zip(d, d[1:])):
             raise ValueError(f"distances must be strictly increasing positive integers: {d!r}")
 
     def __len__(self) -> int:
@@ -107,11 +110,11 @@ class FiniteCirculant:
 
 
 def _validate_word(word: tuple[int, ...], k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not word:
         raise ValueError("coloring word must be nonempty")
-    if any(not isinstance(c, int) or not 1 <= c <= k for c in word):
+    if any(type(c) is not int or not 1 <= c <= k for c in word):
         raise ValueError(f"colors must be integers in 1..{k}: {word!r}")
     if len(set(word)) != k:
         missing = sorted(set(range(1, k + 1)) - set(word))
@@ -227,7 +230,7 @@ class ParameterMatrix:
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError(f"matrix must be square and nonempty: {rows!r}")
-        if any(not isinstance(x, int) or x < 0 for row in rows for x in row):
+        if any(type(x) is not int or x < 0 for row in rows for x in row):
             raise ValueError(f"matrix entries must be nonnegative integers: {rows!r}")
 
     @property

@@ -4,7 +4,11 @@ Finite graphs are searched by color-class partition: perfection is invariant
 under any bijective recoloring, so it is decided once per partition of the
 vertices (enumerated as restricted growth strings with exactly k classes) and
 the surviving classes are expanded through all k! labelings.  That keeps the
-work near the number of partitions instead of k^t.
+work near the number of partitions instead of k^t.  Each partition is checked
+exactly once; a labeling's matrix is the class matrix conjugated by the
+recoloring (ParameterMatrix.relabeled), and rotations and reflections are
+graph automorphisms, so an orbit representative keeps the matrix of the
+labeling it came from.
 
 The infinite graphs Ci(D_n) are handled by a forced-extension automaton.  Any
 perfect coloring is periodic, and a window of 4n-1 consecutive colors both
@@ -84,13 +88,6 @@ def canonical_form(
     return min(_orbit_words(word, rotation, reflection, color_permutation))
 
 
-def _finite_orbit_rep(
-    word: tuple, rotation: bool, reflection: bool, color_permutation: bool
-) -> tuple:
-    # Finite words keep their length: no primitive reduction.
-    return min(_orbit_words(word, rotation, reflection, color_permutation))
-
-
 def _surjective_class_partitions(t: int, k: int):
     """Restricted growth strings of length t with exactly k classes."""
     word = [0] * t
@@ -129,9 +126,10 @@ def enumerate_perfect_finite(
     """All perfect k-colorings of Ci_t(D), optionally reduced modulo symmetry.
 
     Exhaustive and definition-driven: every color-class partition of the
-    vertices is tested with check_perfect.  The budget bounds the number of
-    labeled colorings the search could emit (k^t words in the worst case,
-    of which only the onto ones are candidates).
+    vertices is tested once with check_perfect, and every coloring reported
+    carries that class's matrix relabeled to its colors.  The budget bounds
+    the number of labeled colorings the search could emit (k^t words in the
+    worst case, of which only the onto ones are candidates).
     """
     budget = DEFAULT_WORD_BUDGET if word_budget is None else word_budget
     candidates = surjective_word_count(t, k)
@@ -150,16 +148,19 @@ def enumerate_perfect_finite(
         if not verdict.is_perfect:
             continue
         perfect_classes += 1
-        if color_permutation:
-            rep = _finite_orbit_rep(base, rotation, reflection, True)
-            found.setdefault(rep, check_perfect(FiniteColoring(rep, k), dset).matrix)
-            continue
+        # Least rotation/reflection image of each labeling (finite words keep
+        # their length: no primitive reduction), with a recoloring producing it.
+        images: dict[tuple[int, ...], tuple[int, ...]] = {}
         for target in permutations(range(1, k + 1)):
             relabeled = tuple(target[c - 1] for c in base)
-            if rotation or reflection:
-                relabeled = _finite_orbit_rep(relabeled, rotation, reflection, False)
-            if relabeled not in found:
-                found[relabeled] = check_perfect(FiniteColoring(relabeled, k), dset).matrix
+            image = min(_orbit_words(relabeled, rotation, reflection, False))
+            images.setdefault(image, target)
+        if color_permutation:
+            least = min(images)
+            images = {least: images[least]}
+        for image, target in images.items():
+            if image not in found:
+                found[image] = verdict.matrix.relabeled(target)
     entries = tuple(
         (FiniteColoring(word, k), found[word]) for word in sorted(found)
     )
@@ -311,7 +312,9 @@ def enumerate_periodic_perfect(
     cycle, and conversely a cycle certifies every vertex).  Visited states
     are marked globally per matrix so each cycle is collected once.  Windows
     are pregrouped by their center's (color, counts) key, making the
-    consistent set of each matrix a dictionary lookup.
+    consistent set of each matrix a dictionary lookup.  The state budget caps
+    both the window space and the number of candidate matrices; matrices
+    given by the caller must be k x k with every row summing to 2n.
     """
     budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
     states = k ** (4 * n - 1)
@@ -320,7 +323,10 @@ def enumerate_periodic_perfect(
             f"window space k^(4n-1) = {k}^{4 * n - 1} = {states} exceeds the budget of {budget}"
         )
     if matrices is None:
-        matrices = candidate_matrices(n, k)
+        matrices = candidate_matrices(n, k, budget)
+    else:
+        for matrix in matrices:
+            Automaton(n, k, matrix)  # raises ValueError on a wrong size or row sum
 
     window_length = 4 * n - 1
     center = 2 * n - 1

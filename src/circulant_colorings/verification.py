@@ -7,6 +7,10 @@ orders 4n-2, 4n, 4n+2, pulling everything back, and adding the diagonal-path
 family yields a candidate list that exhaustive search over the infinite graph
 can be compared against: the comparison confirms (or refutes, with explicit
 missing colorings) that the candidate list is complete for given n and k.
+
+No candidate is checked twice: a pullback keeps the matrix the finite search
+attached to it, since the covering map preserves neighbor counts, and the
+path family's matrices are the path templates' matrices relabeled.
 """
 
 from dataclasses import dataclass
@@ -90,29 +94,23 @@ class InducedSet:
         return counts
 
 
-def _path_family(n: int, k: int) -> list[PeriodicColoring]:
-    # The path templates stay perfect under any recoloring; close over all
-    # k! bijections so the family is a union of full color orbits.
-    out: dict[tuple[int, ...], PeriodicColoring] = {}
-    colors = tuple(range(1, k + 1))
-    for base in path_colorings(k):
-        for target in permutations(colors):
-            word = tuple(target[c - 1] for c in base.word)
-            relabeled = PeriodicColoring(word, k)
-            out.setdefault(relabeled.word, relabeled)
-    return [out[w] for w in sorted(out)]
-
-
 def build_induced_set(n: int, k: int, word_budget: int | None = None) -> InducedSet:
     """Candidate colorings of Ci(D_n): pullbacks from orders 4n-2, 4n, 4n+2
-    plus the diagonal-path family, deduplicated with source tags merged."""
+    plus the diagonal-path family, deduplicated with source tags merged.
+
+    The path family is every recoloring of the path templates, so it is a
+    union of full color orbits.  Each entry's matrix is the one the finite
+    search found for a pulled-back coloring, or a template's matrix
+    conjugated by the recoloring; check_perfect runs once per template.
+    """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
     dset = make_odd_distance_set(n)
-    tagged: dict[tuple[int, ...], set[str]] = {}
+    found: dict[tuple[int, ...], tuple[PeriodicColoring, ParameterMatrix, set[str]]] = {}
 
-    def add(coloring: PeriodicColoring, tag: str):
-        tagged.setdefault(coloring.word, set()).add(tag)
+    def add(word: tuple[int, ...], matrix: ParameterMatrix, tag: str):
+        coloring = PeriodicColoring(word, k)
+        found.setdefault(coloring.word, (coloring, matrix, set()))[2].add(tag)
 
     for t, tag in (
         (4 * n - 2, TAG_4N_MINUS_2),
@@ -120,21 +118,19 @@ def build_induced_set(n: int, k: int, word_budget: int | None = None) -> Induced
         (4 * n + 2, TAG_4N_PLUS_2),
     ):
         result = enumerate_perfect_finite(t, dset, k, word_budget=word_budget)
-        for finite, _ in result.entries:
-            add(induce(finite, dset), tag)
-    for coloring in _path_family(n, k):
-        add(coloring, TAG_PATH)
+        for finite, matrix in result.entries:
+            add(finite.word, matrix, tag)
+    for template in path_colorings(k):
+        matrix = check_perfect(template, dset).matrix
+        for target in permutations(range(1, k + 1)):
+            word = tuple(target[c - 1] for c in template.word)
+            add(word, matrix.relabeled(target), TAG_PATH)
 
-    entries = []
-    for word in sorted(tagged):
-        coloring = PeriodicColoring(word, k)
-        verdict = check_perfect(coloring, dset)
-        if not verdict.is_perfect:
-            raise RuntimeError(
-                f"internal error: candidate {word} is not perfect on D_{n}"
-            )
-        entries.append(InducedEntry(coloring, verdict.matrix, frozenset(tagged[word])))
-    return InducedSet(n, k, tuple(entries))
+    entries = tuple(
+        InducedEntry(coloring, matrix, frozenset(tags))
+        for _, (coloring, matrix, tags) in sorted(found.items())
+    )
+    return InducedSet(n, k, entries)
 
 
 @dataclass(frozen=True)
@@ -193,9 +189,7 @@ def check_theorem_k2(
     compares against the candidate list; verdict is "confirmed" when no
     enumerated coloring is missing from it.
     """
-    enumerated = enumerate_periodic_perfect(n, 2, state_budget=state_budget)
-    induced = build_induced_set(n, 2, word_budget=word_budget)
-    return _compare(n, 2, enumerated, induced)
+    return check_conjecture(n, 2, state_budget, word_budget)
 
 
 def check_conjecture(

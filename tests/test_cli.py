@@ -73,6 +73,14 @@ class TestVerify:
         code, _ = run(tmp_path, "verify", "--coloring", str(path), "--distances", "1")
         assert code == 2
 
+    def test_non_integer_values_in_file_rejected(self, tmp_path):
+        path = tmp_path / "coloring.json"
+        data = coloring_to_json(FiniteColoring((1, 2, 1, 2, 1, 2), 2), DistanceSet((1, 3)))
+        for field, value in (("distances", [1.5]), ("word", [True, 2, 1, 2, 1, 2])):
+            path.write_text(json.dumps({**data, field: value}))
+            code, _ = run(tmp_path, "verify", "--coloring", str(path))
+            assert code == 2, field
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -202,15 +202,17 @@ class TestNonBipartiteCount:
 
     def test_agrees_with_brute_force(self):
         # non-bipartite = both sides share at least one color
-        brute = brute_perfect_words(8, (1, 3), 2)
-        shared = [
-            w
-            for w in brute
-            if set(w[0::2]) & set(w[1::2])
-            and sorted(w[0::2]) == sorted((1, 1, 2, 2))
-            and sorted(w[1::2]) == sorted((1, 1, 2, 2))
-        ]
-        assert count_nonbipartite_4n(2, 2, (2, 2)) == len(shared)
+        for n, k, counts in ((2, 2, (2, 2)), (3, 2, (3, 3)), (2, 3, (2, 1, 1))):
+            part = [c for c, m in enumerate(counts, start=1) for _ in range(m)]
+            brute = brute_perfect_words(4 * n, tuple(range(1, 2 * n, 2)), k)
+            shared = [
+                w
+                for w in brute
+                if set(w[0::2]) & set(w[1::2])
+                and sorted(w[0::2]) == part
+                and sorted(w[1::2]) == part
+            ]
+            assert count_nonbipartite_4n(n, k, counts) == len(shared), (n, k, counts)
 
     def test_rejects_wrong_total(self):
         with pytest.raises(ValueError):

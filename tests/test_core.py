@@ -30,6 +30,10 @@ class TestDistanceSet:
             DistanceSet((0, 2))
         with pytest.raises(ValueError):
             DistanceSet((-1,))
+        with pytest.raises(ValueError):
+            DistanceSet((1.5,))
+        with pytest.raises(ValueError):
+            DistanceSet((True, 3))
 
     def test_rejects_unsorted_or_repeated(self):
         with pytest.raises(ValueError):
@@ -102,6 +106,12 @@ class TestColoringValidation:
     def test_colors_within_range(self):
         with pytest.raises(ValueError):
             FiniteColoring((1, 2, 3), 2)
+        with pytest.raises(ValueError):
+            FiniteColoring((True, 2), 2)
+        with pytest.raises(ValueError):
+            PeriodicColoring((1, 2.0), 2)
+        with pytest.raises(ValueError):
+            FiniteColoring((1,), True)
 
     def test_length_is_t(self):
         assert FiniteColoring((1, 2, 1, 2), 2).t == 4
@@ -181,6 +191,8 @@ class TestParameterMatrix:
     def test_requires_nonnegative(self):
         with pytest.raises(ValueError):
             ParameterMatrix(((1, -1), (0, 2)))
+        with pytest.raises(ValueError):
+            ParameterMatrix(((True, 1), (1, 1)))
 
     def test_row_sums(self):
         m = ParameterMatrix(((2, 1, 1), (2, 1, 1), (2, 1, 1)))

@@ -74,9 +74,17 @@ class TestEnumeratePerfectFinite:
             assert result.words() == brute_perfect_words(t, dists, k), (t, dists, k)
 
     def test_matrices_attached(self):
-        result = enumerate_perfect_finite(6, D2, 2)
-        for coloring, matrix in result.entries:
-            assert check_perfect(coloring, D2).matrix == matrix
+        # Matrices are derived by relabeling, never re-checked: check_perfect
+        # is the oracle here, for every combination of symmetry flags.
+        for t, k in ((6, 2), (8, 3), (8, 4)):
+            for flags in itertools.product((False, True), repeat=3):
+                rotation, reflection, colors = flags
+                result = enumerate_perfect_finite(
+                    t, D2, k, rotation=rotation, reflection=reflection, color_permutation=colors
+                )
+                assert result.entries, (t, k, flags)
+                for coloring, matrix in result.entries:
+                    assert check_perfect(coloring, D2).matrix == matrix, (t, k, flags)
 
     def test_rotation_reduction(self):
         full = enumerate_perfect_finite(8, D2, 2)
@@ -205,6 +213,17 @@ class TestEnumeratePeriodicPerfect:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_periodic_perfect(3, 3, state_budget=1000)
+
+    def test_budget_caps_candidate_matrices(self):
+        # 3^7 = 2187 windows fit, but the 15^3 = 3375 candidate matrices do not
+        with pytest.raises(BudgetExceededError):
+            enumerate_periodic_perfect(2, 3, state_budget=3000)
+
+    def test_rejects_invalid_matrices(self):
+        with pytest.raises(ValueError):
+            enumerate_periodic_perfect(1, 2, matrices=(ParameterMatrix(((2, 0, 0),) * 3),))
+        with pytest.raises(ValueError):
+            enumerate_periodic_perfect(1, 2, matrices=(ParameterMatrix(((0, 4), (4, 0))),))
 
     def test_restricting_matrices_restricts_output(self, periodic_k2):
         bipartite = ParameterMatrix(((0, 4), (4, 0)))

@@ -12,6 +12,7 @@ from circulant_colorings import (
     check_theorem_k2,
     enumerate_perfect_finite,
     induce,
+    make_odd_distance_set,
     structural_regression_suite,
 )
 
@@ -59,10 +60,13 @@ class TestBuildInducedSet:
         assert (1, 1, 2) in words and (1, 2, 2) in words
 
     def test_entries_all_perfect_with_matrices(self):
-        ind = build_induced_set(2, 2)
-        for e in ind.entries:
-            verdict = check_perfect(e.coloring, D2)
-            assert verdict.is_perfect and verdict.matrix == e.matrix
+        # Entry matrices come from the finite search and the path templates,
+        # never from a re-check: check_perfect is the oracle here.
+        for n, k in ((2, 2), (1, 3), (1, 4), (2, 3)):
+            dset = make_odd_distance_set(n)
+            for e in build_induced_set(n, k).entries:
+                verdict = check_perfect(e.coloring, dset)
+                assert verdict.is_perfect and verdict.matrix == e.matrix, (n, k, e)
 
     def test_entry_lookup(self):
         ind = build_induced_set(1, 2)
