@@ -160,16 +160,17 @@ def _cmd_enumerate(args) -> int:
         result = enumerate_periodic_perfect(args.n, args.k, state_budget=args.budget_states)
         # Period words are rotation classes already; only extra symmetries fold.
         _, reflection, colors = _parse_symmetry(args.symmetry, "rotation,colors")
+        # The search is exhaustive and a rotation, reflection or recoloring of
+        # a perfect coloring of Ci(D_n) is perfect, so every representative is
+        # itself an entry and keeps the matrix the search found for it.
+        by_word = {c.word: (c, m) for c, m in result.entries}
         reps = {
             canonical_form(
-                c.word, rotation=True, reflection=reflection, color_permutation=colors
+                word, rotation=True, reflection=reflection, color_permutation=colors
             )
-            for c, _ in result.entries
+            for word in by_word
         }
-        entries = []
-        for word in sorted(reps):
-            coloring = PeriodicColoring(word, args.k)
-            entries.append((coloring, check_perfect(coloring, dset).matrix))
+        entries = [by_word[word] for word in sorted(reps)]
     else:
         if args.t is None or args.distances is None:
             raise UsageError("finite enumeration needs --t and --distances")

@@ -148,14 +148,29 @@ class MatchingSplit:
         return edges
 
 
-def _assemble_matched(t: int, k: int, split: ColorSplit, msplit: MatchingSplit) -> FiniteColoring:
-    step = t // 2
-    n_edges = step
+def _matched_graph(n: int, t: int) -> int:
+    """Number of matching edges of Ci_t(D_n); t must be 4n-2 or 4n+2."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if t not in (4 * n - 2, 4 * n + 2):
+        raise ValueError(f"order {t} is not 4n-2 or 4n+2 for n={n}")
+    return t // 2
+
+
+def construct_matched(
+    n: int, t: int, k: int, split: ColorSplit, msplit: MatchingSplit
+) -> FiniteColoring:
+    """Perfect coloring of Ci_t(D_n), t = 4n+-2, from a color and matching split.
+
+    Edge i of the matching is {i, i + t/2}; its assignment colors both
+    endpoints.
+    """
+    step = _matched_graph(n, t)
     if split.k != k:
         raise ValueError(f"split is for k={split.k}, expected {k}")
     edges = sorted(msplit.edges_used())
-    if edges != list(range(n_edges)):
-        raise ValueError(f"matching split must cover edges 0..{n_edges - 1} exactly once")
+    if edges != list(range(step)):
+        raise ValueError(f"matching split must cover edges 0..{step - 1} exactly once")
     if split.bipartite != bool(msplit.bipartite) and msplit.edges_used():
         raise ValueError("matching split kind must match the color split kind")
 
@@ -188,24 +203,6 @@ def _assemble_matched(t: int, k: int, split: ColorSplit, msplit: MatchingSplit) 
     return FiniteColoring(tuple(word), k)
 
 
-def construct_4n_plus_2(n: int, k: int, split: ColorSplit, msplit: MatchingSplit) -> FiniteColoring:
-    """Perfect coloring of Ci_{4n+2}(D_n) from a color and matching split.
-
-    The graph is K_{2n+1,2n+1} minus the matching {(i, i+2n+1) : i = 0..2n};
-    each edge's assignment colors its two endpoints.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _assemble_matched(4 * n + 2, k, split, msplit)
-
-
-def construct_4n_minus_2(n: int, k: int, split: ColorSplit, msplit: MatchingSplit) -> FiniteColoring:
-    """Perfect coloring of Ci_{4n-2}(D_n); same recipe on the doubled matching."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _assemble_matched(4 * n - 2, k, split, msplit)
-
-
 def _pair_partitions(colors: tuple[int, ...]):
     """All partitions of the color tuple into unordered pairs."""
     if not colors:
@@ -215,18 +212,6 @@ def _pair_partitions(colors: tuple[int, ...]):
     for i, other in enumerate(rest):
         for tail in _pair_partitions(rest[:i] + rest[i + 1 :]):
             yield ((first, other),) + tail
-
-
-def _matched_graph(n: int, t: int) -> int:
-    if t not in (4 * n - 2, 4 * n + 2):
-        raise ValueError(f"order {t} is not 4n-2 or 4n+2 for n={n}")
-    return t // 2
-
-
-def _construct_matched(n: int, t: int, k: int, split, msplit) -> FiniteColoring:
-    if t == 4 * n + 2:
-        return construct_4n_plus_2(n, k, split, msplit)
-    return construct_4n_minus_2(n, k, split, msplit)
 
 
 def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
@@ -255,7 +240,7 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
                     msplit = MatchingSplit(
                         bipartite=tuple((e, ce, co) for e, (ce, co) in enumerate(choice))
                     )
-                    coloring = _construct_matched(n, t, k, split, msplit)
+                    coloring = construct_matched(n, t, k, split, msplit)
                     found.setdefault(coloring.word, coloring)
 
     # Non-bipartite splits: C1 monochrome, C2 paired up.
@@ -291,7 +276,7 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
                     bwd = [e for e, lab in enumerate(choice) if lab == ("s", (y, x))]
                     swaps += [(a, b, x, y) for a, b in zip(fwd, bwd)]
                 msplit = MatchingSplit(monochrome=mono_edges, swaps=tuple(swaps))
-                coloring = _construct_matched(n, t, k, split, msplit)
+                coloring = construct_matched(n, t, k, split, msplit)
                 found.setdefault(coloring.word, coloring)
 
     return tuple(found[w] for w in sorted(found))
@@ -345,12 +330,12 @@ def two_color_cases(n: int, t: int) -> TwoColorCases:
         if len(set(assignment)) != 2:
             continue
         msplit = MatchingSplit(monochrome=tuple(enumerate(assignment)))
-        mono.append(_construct_matched(n, t, 2, split, msplit))
+        mono.append(construct_matched(n, t, 2, split, msplit))
     bip = []
     for pair in ((1, 2), (2, 1)):
         split = ColorSplit(2, bipartite_pairs=(pair,))
         msplit = MatchingSplit(bipartite=tuple((e, *pair) for e in range(n_edges)))
-        bip.append(_construct_matched(n, t, 2, split, msplit))
+        bip.append(construct_matched(n, t, 2, split, msplit))
     return TwoColorCases(tuple(mono), tuple(bip))
 
 

@@ -279,6 +279,8 @@ def coloring_from_json(data: dict) -> tuple[FiniteColoring | PeriodicColoring, D
         raise ValueError(f"malformed coloring record: {exc}") from exc
     if kind not in ("finite", "periodic"):
         raise ValueError(f"unknown coloring kind {kind!r}")
+    if type(length) is not int:
+        raise ValueError(f"t_or_period must be an integer, got {length!r}")
     if length != len(word):
         raise ValueError(f"t_or_period {length} does not match word length {len(word)}")
     if kind == "finite":

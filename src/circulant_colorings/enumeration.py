@@ -13,14 +13,19 @@ labeling it came from.
 The infinite graphs Ci(D_n) are handled by a forced-extension automaton.  Any
 perfect coloring is periodic, and a window of 4n-1 consecutive colors both
 certifies its center vertex (whose whole neighborhood lies inside the window)
-and forces the color one step beyond the window: the vertex just past the
-center misses exactly one neighbor, so its matrix row leaves a deficit of
-exactly one incidence in exactly one color -- or no consistent extension at
-all.  Perfect colorings are therefore precisely the cycles of the transition
-map on consistent windows, enumerated per candidate parameter matrix.
+and forces the color one step beyond the window.  That step rule,
+_forced_color, is the only one: the vertex just past the center sees all its
+2n neighbors but the one at offset 4n-1, so its row (summing to 2n) minus the
+known counts (summing to 2n-1) leaves deficits that sum to 1.  Either one is
+negative and no extension is consistent, or exactly one is 1 and that color
+is forced.  The rule depends only on (row, known), pairs that recur millions
+of times in a search, so it is cached.  Perfect colorings are therefore
+precisely the cycles of the transition map on consistent windows, enumerated
+per candidate parameter matrix.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
 from math import comb
 
@@ -266,36 +271,21 @@ def window_is_consistent(automaton: Automaton, window: WindowState) -> bool:
     return counts == automaton.matrix.rows[window[automaton.center] - 1]
 
 
-def step_window(automaton: Automaton, window: WindowState) -> int | None:
-    """The forced color one step past the window, or None if none is consistent.
+@cache
+def _forced_color(row: tuple[int, ...], known: tuple[int, ...]) -> int | None:
+    """The color whose deficit row - known is 1, or None if any deficit is negative."""
+    deficits = [r - c for r, c in zip(row, known)]
+    if min(deficits) < 0:
+        return None
+    return deficits.index(1) + 1
 
-    The vertex at window offset 2n misses exactly one neighbor (offset 4n-1),
-    so its row leaves a deficit of one incidence; if the deficit is negative
-    anywhere the window has no perfect extension.
-    """
+
+def step_window(automaton: Automaton, window: WindowState) -> int | None:
+    """The forced color one step past the window, or None if none is consistent."""
     if len(window) != automaton.window_length:
         raise ValueError(f"window must have length {automaton.window_length}")
     known = _window_counts(window, _extension_positions(automaton.n), automaton.k)
-    row = automaton.matrix.rows[window[2 * automaton.n] - 1]
-    forced = None
-    for color in range(1, automaton.k + 1):
-        deficit = row[color - 1] - known[color - 1]
-        if deficit < 0:
-            return None
-        if deficit == 1:
-            forced = color
-        elif deficit not in (0, 1):
-            return None
-    return forced
-
-
-def consistent_windows(automaton: Automaton) -> tuple[WindowState, ...]:
-    """All consistent windows, by direct filtering (small n and k only)."""
-    return tuple(
-        w
-        for w in product(range(1, automaton.k + 1), repeat=automaton.window_length)
-        if window_is_consistent(automaton, w)
-    )
+    return _forced_color(automaton.matrix.rows[window[2 * automaton.n] - 1], known)
 
 
 def enumerate_periodic_perfect(
@@ -346,13 +336,13 @@ def enumerate_periodic_perfect(
     all_colors = set(colors)
 
     for matrix in matrices:
-        valid: list[tuple[int, ...]] = []
-        for color in colors:
-            valid.extend(groups.get((color, matrix.rows[color - 1]), ()))
-        valid.sort()
         visited: set[tuple[int, ...]] = set()
         rows = matrix.rows
-        for start in valid:
+        # visited is shared across starts, so each reachable window is followed
+        # once per matrix whatever the start order: the cycles found and
+        # states_followed do not depend on it.
+        starts = (w for color in colors for w in groups.get((color, rows[color - 1]), ()))
+        for start in starts:
             if start in visited:
                 continue
             path: list[tuple[int, ...]] = []
@@ -372,17 +362,8 @@ def enumerate_periodic_perfect(
                 position[window] = len(path)
                 path.append(window)
                 probe_color, known = ext_info[window]
-                row = rows[probe_color - 1]
-                forced = None
-                dead = False
-                for color in colors:
-                    deficit = row[color - 1] - known[color - 1]
-                    if deficit < 0 or deficit > 1:
-                        dead = True
-                        break
-                    if deficit == 1:
-                        forced = color
-                if dead or forced is None:
+                forced = _forced_color(rows[probe_color - 1], known)
+                if forced is None:
                     break
                 window = window[1:] + (forced,)
             visited.update(path)

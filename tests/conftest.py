@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from circulant_colorings import enumerate_periodic_perfect
+from circulant_colorings import enumerate_periodic_perfect, window_is_consistent
 
 
 def edge_multiset_adjacency(t, distances):
@@ -47,6 +47,15 @@ def brute_perfect_words(t, distances, k):
         for word in itertools.product(range(1, k + 1), repeat=t)
         if len(set(word)) == k and oracle_is_perfect(word, adj, k)
     }
+
+
+def consistent_windows(automaton):
+    """All consistent windows, by filtering the whole product space."""
+    return tuple(
+        w
+        for w in itertools.product(range(1, automaton.k + 1), repeat=automaton.window_length)
+        if window_is_consistent(automaton, w)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +229,22 @@ class TestExportDot:
         )
         assert '0 [fillcolor="gold"];' in text
         assert '1 [fillcolor="skyblue"];' in text
+
+
+def readme_cli_examples():
+    """The commands in the sh block under the README's "## Command line"."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+class TestReadmeExamples:
+    def test_documented_commands_exit_zero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_cli_examples()
+        assert len(commands) >= 9
+        for argv in commands:
+            assert argv[0] == "circulant-colorings", argv
+            assert main(argv[1:]) == 0, argv
+            capsys.readouterr()

@@ -11,8 +11,7 @@ from circulant_colorings import (
     all_matched_colorings,
     check_perfect,
     construct_4n,
-    construct_4n_minus_2,
-    construct_4n_plus_2,
+    construct_matched,
     count_nonbipartite_4n,
     make_odd_distance_set,
     path_colorings,
@@ -97,14 +96,14 @@ class TestSplitTypes:
         split = ColorSplit(2, frozenset({1, 2}), (), ())
         msplit = MatchingSplit(monochrome=((0, 1), (0, 2), (1, 1)))
         with pytest.raises(ValueError):
-            construct_4n_plus_2(1, 2, split, msplit)
+            construct_matched(1, 6, 2, split, msplit)
 
 
 class TestMatchedConstructions:
     def test_removed_matching_bipartite_case(self):
         split = ColorSplit(2, frozenset(), (), ((1, 2),))
         msplit = MatchingSplit(bipartite=((0, 1, 2), (1, 1, 2), (2, 1, 2)))
-        c = construct_4n_plus_2(1, 2, split, msplit)
+        c = construct_matched(1, 6, 2, split, msplit)
         assert c.word == (1, 2, 1, 2, 1, 2)
         assert check_perfect(c, D1).is_perfect
 
@@ -113,7 +112,7 @@ class TestMatchedConstructions:
         msplit = MatchingSplit(
             monochrome=((0, 1), (1, 1), (2, 2), (3, 2), (4, 2))
         )
-        c = construct_4n_plus_2(2, 2, split, msplit)
+        c = construct_matched(2, 10, 2, split, msplit)
         assert check_perfect(c, D2).is_perfect
         # both endpoints of each matching edge share that edge's color
         for edge, color in msplit.monochrome:
@@ -123,7 +122,7 @@ class TestMatchedConstructions:
         # three doubled edges: one held by color 3, two swapping 1 and 2
         split = ColorSplit(3, frozenset({3}), ((1, 2),), ())
         msplit = MatchingSplit(monochrome=((0, 3),), swaps=((1, 2, 1, 2),))
-        c = construct_4n_minus_2(2, 3, split, msplit)
+        c = construct_matched(2, 6, 3, split, msplit)
         assert c.word == (3, 2, 2, 3, 1, 1)
         assert check_perfect(c, D2).is_perfect
 
@@ -131,13 +130,13 @@ class TestMatchedConstructions:
         split = ColorSplit(2, frozenset({1, 2}), (), ())
         msplit = MatchingSplit(bipartite=((0, 1, 2), (1, 1, 2), (2, 1, 2)))
         with pytest.raises(ValueError):
-            construct_4n_plus_2(1, 2, split, msplit)
+            construct_matched(1, 6, 2, split, msplit)
 
     def test_edge_coverage_enforced(self):
         split = ColorSplit(2, frozenset({1, 2}), (), ())
         msplit = MatchingSplit(monochrome=((0, 1), (2, 2)))
         with pytest.raises(ValueError):
-            construct_4n_plus_2(2, 2, split, msplit)
+            construct_matched(2, 10, 2, split, msplit)
 
 
 class TestDriverCompleteness:
@@ -176,6 +175,12 @@ class TestDriverCompleteness:
     def test_matched_driver_rejects_wrong_order(self):
         with pytest.raises(ValueError):
             all_matched_colorings(2, 8, 2)
+        with pytest.raises(ValueError):
+            all_matched_colorings(0, 2, 3)
+        split = ColorSplit(2, frozenset({1, 2}), (), ())
+        msplit = MatchingSplit(monochrome=((0, 1), (1, 1), (2, 2), (3, 2)))
+        with pytest.raises(ValueError):
+            construct_matched(2, 8, 2, split, msplit)
 
 
 class TestTwoColorCases:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import circulant_colorings
 from circulant_colorings import (
     DistanceSet,
     FiniteCirculant,
@@ -237,3 +238,20 @@ class TestJsonRoundTrip:
         data["word"] = [1, 0]
         with pytest.raises(ValueError):
             coloring_from_json(data)
+
+    def test_rejects_non_integer_length(self):
+        # True == 1 and 2.0 == 2 would pass a bare length comparison
+        for length, word in ((True, [1]), (2.0, [1, 2])):
+            data = {"kind": "finite", "t_or_period": length, "k": max(word),
+                    "word": word, "distances": [1]}
+            with pytest.raises(ValueError):
+                coloring_from_json(data)
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        missing = [
+            name for name in circulant_colorings.__all__
+            if not hasattr(circulant_colorings, name)
+        ]
+        assert missing == []

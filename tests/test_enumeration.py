@@ -14,14 +14,13 @@ from circulant_colorings import (
     candidate_matrices,
     canonical_form,
     check_perfect,
-    consistent_windows,
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
     step_window,
     surjective_word_count,
     window_is_consistent,
 )
-from conftest import brute_perfect_words
+from conftest import brute_perfect_words, consistent_windows
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
@@ -167,14 +166,16 @@ class TestAutomaton:
             step_window(auto, (1, 2, 1, 2))
 
     def test_window_reproduces_enumerated_colorings(self, periodic_k2):
-        for n in (1, 2):
-            for coloring, matrix in periodic_k2[n].entries:
-                auto = Automaton(n, 2, matrix)
+        cases = [(n, 2, periodic_k2[n]) for n in (1, 2)]
+        cases += [(n, 3, enumerate_periodic_perfect(n, 3)) for n in (1, 2)]
+        for n, k, result in cases:
+            for coloring, matrix in result.entries:
+                auto = Automaton(n, k, matrix)
                 length = 4 * n - 1
                 window = tuple(coloring.color_at(i) for i in range(length))
                 assert window_is_consistent(auto, window)
                 forced = step_window(auto, window)
-                assert forced == coloring.color_at(length)
+                assert forced == coloring.color_at(length), (n, k, coloring.word)
 
 
 class TestEnumeratePeriodicPerfect:
@@ -195,17 +196,21 @@ class TestEnumeratePeriodicPerfect:
                 assert verdict.matrix == matrix
 
     def test_short_periods_match_direct_scan(self):
-        # independent check: every perfect word of period <= 8 and none extra
-        result = enumerate_periodic_perfect(1, 3)
-        direct = set()
-        for length in range(1, 9):
-            for w in itertools.product((1, 2, 3), repeat=length):
-                if set(w) != {1, 2, 3}:
-                    continue
-                pc = PeriodicColoring(w, 3)
-                if pc.word not in direct and check_perfect(pc, D1).is_perfect:
-                    direct.add(pc.word)
-        assert {w for w in result.words() if len(w) <= 8} == direct
+        # independent check: every perfect word of period <= max_period and none extra
+        for n, k, max_period in ((1, 3, 8), (2, 2, 12), (1, 4, 6), (2, 3, 7)):
+            dset = DistanceSet(tuple(range(1, 2 * n, 2)))
+            colors = set(range(1, k + 1))
+            result = enumerate_periodic_perfect(n, k)
+            direct = set()
+            for length in range(1, max_period + 1):
+                for w in itertools.product(sorted(colors), repeat=length):
+                    if set(w) != colors:
+                        continue
+                    pc = PeriodicColoring(w, k)
+                    if pc.word not in direct and check_perfect(pc, dset).is_perfect:
+                        direct.add(pc.word)
+            short = {w for w in result.words() if len(w) <= max_period}
+            assert short == direct, (n, k, max_period)
 
     def test_count_for_three_colors_smallest(self):
         assert len(enumerate_periodic_perfect(1, 3).entries) == 14
