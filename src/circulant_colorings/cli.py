@@ -160,17 +160,16 @@ def _cmd_enumerate(args) -> int:
         result = enumerate_periodic_perfect(args.n, args.k, state_budget=args.budget_states)
         # Period words are rotation classes already; only extra symmetries fold.
         _, reflection, colors = _parse_symmetry(args.symmetry, "rotation,colors")
-        # The search is exhaustive and a rotation, reflection or recoloring of
-        # a perfect coloring of Ci(D_n) is perfect, so every representative is
-        # itself an entry and keeps the matrix the search found for it.
-        by_word = {c.word: (c, m) for c, m in result.entries}
         reps = {
             canonical_form(
-                word, rotation=True, reflection=reflection, color_permutation=colors
+                c.word, rotation=True, reflection=reflection, color_permutation=colors
             )
-            for word in by_word
+            for c, _ in result.entries
         }
-        entries = [by_word[word] for word in sorted(reps)]
+        entries = []
+        for word in sorted(reps):
+            coloring = PeriodicColoring(word, args.k)
+            entries.append((coloring, check_perfect(coloring, dset).matrix))
     else:
         if args.t is None or args.distances is None:
             raise UsageError("finite enumeration needs --t and --distances")
