@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-states",
         type=int,
         default=None,
-        help="cap on window states and on candidate matrices searched",
+        help="cap on window states and on the raw count C(2n+k-1,k-1)^k of row-sum-2n matrices",
     )
     common.add_argument(
         "--budget-words", type=int, default=None, help="cap on candidate words searched"

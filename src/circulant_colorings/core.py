@@ -54,10 +54,15 @@ class DistanceSet:
         return self.distances == tuple(range(1, 2 * len(self.distances), 2))
 
 
+def require_positive_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int >= 1 (True is not taken as 1)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def make_odd_distance_set(n: int) -> DistanceSet:
     """The continuous odd distance set {1, 3, ..., 2n-1}."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_positive_int("n", n)
     return DistanceSet(tuple(range(1, 2 * n, 2)))
 
 
@@ -110,8 +115,7 @@ class FiniteCirculant:
 
 
 def _validate_word(word: tuple[int, ...], k: int) -> None:
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    require_positive_int("k", k)
     if not word:
         raise ValueError("coloring word must be nonempty")
     if any(type(c) is not int or not 1 <= c <= k for c in word):

@@ -22,6 +22,24 @@ is forced.  The rule depends only on (row, known), pairs that recur millions
 of times in a search, so it is cached.  Perfect colorings are therefore
 precisely the cycles of the transition map on consistent windows, enumerated
 per candidate parameter matrix.
+
+Only matrices that some onto perfect coloring could have are searched.
+candidate_matrices keeps those that pass three necessary conditions, each
+argued in full in its docstring:
+
+* balance -- counting the i-j edges of one period from both ends gives class
+  densities p > 0 with p_i M_ij = p_j M_ji, on a support that is connected
+  because Ci(D_n) is;
+* parity -- Ci(D_n) is bipartite between even and odd integers, so the
+  colors on even vertices, A, determine those on odd vertices as the union
+  of the supports of A's rows, and consecutive same-parity vertices have
+  rows at most one unit transfer apart;
+* color symmetry -- a recoloring conjugates the matrix and maps its cycles
+  onto the cycles of the conjugate.
+
+So the window search runs once per S_k conjugacy orbit, on the orbit's least
+image, and each onto cycle it finds is expanded through the k! recolorings.
+The stats key matrices_tried counts those orbit representatives.
 """
 
 from dataclasses import dataclass, field
@@ -36,8 +54,9 @@ from .core import (
     ParameterMatrix,
     PeriodicColoring,
     primitive_period,
+    require_positive_int,
 )
-from .perfection import admissible_matrix_templates, check_perfect
+from .perfection import check_perfect
 
 DEFAULT_WORD_BUDGET = 1 << 27
 DEFAULT_STATE_BUDGET = 1 << 24
@@ -136,6 +155,8 @@ def enumerate_perfect_finite(
     the number of labeled colorings the search could emit (k^t words in the
     worst case, of which only the onto ones are candidates).
     """
+    require_positive_int("t", t)
+    require_positive_int("k", k)
     budget = DEFAULT_WORD_BUDGET if word_budget is None else word_budget
     candidates = surjective_word_count(t, k)
     if candidates > budget:
@@ -186,31 +207,148 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _support_symmetric(n: int, k: int):
+    """Rows of every k x k matrix with row sums 2n and M_ij > 0 iff M_ji > 0.
+
+    Built row by row in lexicographic order.  Row i may have M_ij > 0 for
+    j < i exactly where the earlier row j has M_ji > 0, so the rows that fit
+    a prefix are looked up by that support pattern and no asymmetric prefix
+    grows.
+    """
+    compositions = tuple(_compositions(2 * n, k))
+    # fitting[i][mask]: rows whose support among the columns j < i is mask.
+    fitting: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(k)]
+    for row in compositions:
+        support = sum(1 << j for j, count in enumerate(row) if count)
+        for i in range(k):
+            fitting[i].setdefault(support & ((1 << i) - 1), []).append(row)
+
+    def extend(prefix: tuple[tuple[int, ...], ...]):
+        i = len(prefix)
+        if i == k:
+            yield prefix
+            return
+        required = sum(1 << j for j, row in enumerate(prefix) if row[i])
+        for row in fitting[i].get(required, ()):
+            yield from extend(prefix + (row,))
+
+    yield from extend(())
+
+
+def _is_balanced(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether densities p > 0 exist with p_i M_ij = p_j M_ji on a connected support.
+
+    The support must already be symmetric.  A BFS from color 1 fixes
+    p_j = p_i M_ij / M_ji exactly, as an integer fraction (num, den); the
+    matrix fails if a color is unreached or an edge disagrees with the
+    densities already set.
+    """
+    density: list[tuple[int, int] | None] = [None] * len(rows)
+    density[0] = (1, 1)
+    queue = [0]
+    for i in queue:
+        num, den = density[i]
+        for j, count in enumerate(rows[i]):
+            if j == i or not count:
+                continue
+            p = (num * count, den * rows[j][i])
+            if density[j] is None:
+                density[j] = p
+                queue.append(j)
+            elif density[j][0] * p[1] != p[0] * density[j][1]:
+                return False
+    return None not in density
+
+
+def _has_parity_split(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether some split into even colors A and odd colors B is consistent.
+
+    B is the union of the supports of the rows in A; the split needs
+    A | B = all colors, supp(r_c) <= A for c in B, and A and B each connected
+    when colors whose rows differ by at most one unit transfer (L1 <= 2) are
+    joined.  Color sets are bitmasks over the color indices.
+    """
+    k = len(rows)
+    support = [sum(1 << j for j, count in enumerate(row) if count) for row in rows]
+    near = [
+        sum(1 << b for b in range(k) if sum(abs(x - y) for x, y in zip(rows[a], rows[b])) <= 2)
+        for a in range(k)
+    ]
+
+    def connected(colors: int) -> bool:
+        reached = colors & -colors
+        while True:
+            grown = reached
+            for a in range(k):
+                if reached >> a & 1:
+                    grown |= near[a] & colors
+            if grown == reached:
+                return reached == colors
+            reached = grown
+
+    everything = (1 << k) - 1
+    for even in range(1, everything + 1):
+        odd = 0
+        for c in range(k):
+            if even >> c & 1:
+                odd |= support[c]
+        if (
+            even | odd == everything
+            and not any(odd >> c & 1 and support[c] & ~even for c in range(k))
+            and connected(even)
+            and connected(odd)
+        ):
+            return True
+    return False
+
+
 def candidate_matrices(
     n: int, k: int, matrix_budget: int | None = None
 ) -> tuple[ParameterMatrix, ...]:
     """Parameter matrices worth searching for Ci(D_n) with k colors.
 
-    For k = 2 the admissible template families (including the bipartite
-    matrix) are complete, so only those are returned.  For other k no sound
-    pruning is applied: every k x k nonnegative matrix with row sums 2n is a
-    candidate.  The budget caps how many that is allowed to be.
+    Every k x k nonnegative matrix with row sums 2n that passes three
+    necessary conditions for an onto perfect coloring, in lexicographic order
+    of rows.  Each rule removes only matrices that no onto coloring has (the
+    search discards colorings that miss a color anyway):
+
+    * Balance.  A perfect coloring is periodic; over one period of P
+      vertices, with N_i vertices of color i, counting the i-j edges from
+      both ends gives N_i M_ij = N_j M_ji.  So the densities p_i = N_i / P are
+      positive and p_i M_ij = p_j M_ji: the support is symmetric (enforced
+      row by row during generation) and every cycle of the support agrees on
+      p.  Ci(D_n) is connected (1 is in D_n) and every color is used, so the
+      support is connected too.
+    * Parity.  Ci(D_n) is bipartite between even and odd integers.  Let A be
+      the colors on even vertices.  Their neighbors are odd and every odd
+      vertex has an even neighbor, so the colors on odd vertices are exactly
+      B = union of supp(r_c) for c in A, and A | B = [k] since the coloring is
+      onto; a color c in B sits on an odd vertex whose neighbors are even, so
+      supp(r_c) <= A.  N(v+2) = N(v) - {v-2n+1} + {v+2n+1}, so consecutive
+      same-parity vertices have rows that differ by e_x - e_y or by 0; walking
+      the even (or odd) vertices visits every color of A (or B) in steps of
+      L1 distance <= 2, so both are connected under that relation.
+    * Color symmetry.  A recoloring of a perfect coloring is perfect with
+      the conjugated matrix, and both rules above are invariant under
+      conjugation, so the returned set is closed under it;
+      enumerate_periodic_perfect searches one matrix per orbit.
+
+    The budget caps the raw count C(2n+k-1, k-1)^k of row-sum-2n matrices,
+    for every k, not the number of matrices returned.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
-    if k == 2:
-        out = []
-        for fam in admissible_matrix_templates(n):
-            out.extend(fam.matrices())
-        return tuple(out)
+    require_positive_int("n", n)
+    require_positive_int("k", k)
     budget = DEFAULT_STATE_BUDGET if matrix_budget is None else matrix_budget
     total = comb(2 * n + k - 1, k - 1) ** k
     if total > budget:
         raise BudgetExceededError(
             f"{total} candidate matrices for n={n}, k={k} exceed the budget of {budget}"
         )
-    rows = tuple(_compositions(2 * n, k))
-    return tuple(ParameterMatrix(combo) for combo in product(rows, repeat=k))
+    return tuple(
+        ParameterMatrix(rows)
+        for rows in _support_symmetric(n, k)
+        if _is_balanced(rows) and _has_parity_split(rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -296,16 +434,26 @@ def enumerate_periodic_perfect(
 ) -> EnumerationResult:
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
-    Per candidate matrix, every consistent window is followed through the
+    Per searched matrix, every consistent window is followed through the
     forced-extension map; the cycles of that map are exactly the perfect
     colorings (every perfect coloring is periodic, so its windows close a
     cycle, and conversely a cycle certifies every vertex).  Visited states
     are marked globally per matrix so each cycle is collected once.  Windows
     are pregrouped by their center's (color, counts) key, making the
-    consistent set of each matrix a dictionary lookup.  The state budget caps
-    both the window space and the number of candidate matrices; matrices
-    given by the caller must be k x k with every row summing to 2n.
+    consistent set of each matrix a dictionary lookup.
+
+    The matrices (candidate_matrices by default) are grouped into S_k
+    conjugacy orbits and only the least image of each orbit is searched.  A
+    recoloring maps the cycles of a matrix onto those of its image, so each
+    onto cycle is reported under every recoloring whose image matrix is one
+    of the given matrices, carrying that matrix object; caller-given
+    matrices therefore restrict the output exactly as a search of each of
+    them would.  The state budget caps both the window space and, through
+    candidate_matrices, the raw matrix count; matrices given by the caller
+    must be k x k with every row summing to 2n.
     """
+    require_positive_int("n", n)
+    require_positive_int("k", k)
     budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
     states = k ** (4 * n - 1)
     if states > budget:
@@ -332,12 +480,24 @@ def enumerate_periodic_perfect(
         ext_info[window] = (window[2 * n], _window_counts(window, ext_pos, k))
 
     found: dict[tuple[int, ...], Entry] = {}
-    stats = {"matrices_tried": len(matrices), "states_followed": 0, "cycles_found": 0}
+    stats = {"matrices_tried": 0, "states_followed": 0, "cycles_found": 0}
     all_colors = set(colors)
-
+    recolorings = tuple(permutations(colors))
+    given: dict[tuple[tuple[int, ...], ...], ParameterMatrix] = {}
     for matrix in matrices:
+        given.setdefault(matrix.rows, matrix)
+    searched: set[tuple[tuple[int, ...], ...]] = set()
+
+    for matrix in given.values():
+        if matrix.rows in searched:
+            continue
+        stats["matrices_tried"] += 1
+        representative = min((matrix.relabeled(p) for p in recolorings), key=lambda m: m.rows)
+        images = [(p, representative.relabeled(p)) for p in recolorings]
+        searched.update(image.rows for _, image in images)
+        targets = [(p, given[image.rows]) for p, image in images if image.rows in given]
         visited: set[tuple[int, ...]] = set()
-        rows = matrix.rows
+        rows = representative.rows
         # visited is shared across starts, so each reachable window is followed
         # once per matrix whatever the start order: the cycles found and
         # states_followed do not depend on it.
@@ -356,8 +516,9 @@ def enumerate_periodic_perfect(
                     stats["cycles_found"] += 1
                     word = tuple(w[0] for w in cycle)
                     if set(word) == all_colors:
-                        coloring = PeriodicColoring(word, k)
-                        found.setdefault(coloring.word, (coloring, matrix))
+                        for p, target in targets:
+                            coloring = PeriodicColoring(tuple(p[c - 1] for c in word), k)
+                            found.setdefault(coloring.word, (coloring, target))
                     break
                 position[window] = len(path)
                 path.append(window)

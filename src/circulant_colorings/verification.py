@@ -22,6 +22,7 @@ from .core import (
     ParameterMatrix,
     PeriodicColoring,
     make_odd_distance_set,
+    require_positive_int,
 )
 from .perfection import (
     check_even_odd_balance,
@@ -103,8 +104,7 @@ def build_induced_set(n: int, k: int, word_budget: int | None = None) -> Induced
     search found for a pulled-back coloring, or a template's matrix
     conjugated by the recoloring; check_perfect runs once per template.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
+    require_positive_int("k", k)
     dset = make_odd_distance_set(n)
     found: dict[tuple[int, ...], tuple[PeriodicColoring, ParameterMatrix, set[str]]] = {}
 
@@ -200,9 +200,10 @@ def check_conjecture(
 ) -> CheckReport:
     """Test whether every perfect k-coloring of Ci(D_n) is induced.
 
-    Same comparison as the 2-color check but over all row-sum-2n candidate
-    matrices.  A "counterexample" verdict lists the colorings the candidate
-    list fails to produce; it is reported, never asserted away.
+    Same comparison as the 2-color check but over every k x k candidate
+    matrix that candidate_matrices keeps.  A "counterexample" verdict lists
+    the colorings the candidate list fails to produce; it is reported, never
+    asserted away.
     """
     enumerated = enumerate_periodic_perfect(n, k, state_budget=state_budget)
     induced = build_induced_set(n, k, word_budget=word_budget)

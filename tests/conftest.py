@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from circulant_colorings import enumerate_periodic_perfect, window_is_consistent
+from circulant_colorings import ParameterMatrix, enumerate_periodic_perfect, window_is_consistent
 
 
 def edge_multiset_adjacency(t, distances):
@@ -56,6 +56,12 @@ def consistent_windows(automaton):
         for w in itertools.product(range(1, automaton.k + 1), repeat=automaton.window_length)
         if window_is_consistent(automaton, w)
     )
+
+
+def all_row_sum_matrices(n, k):
+    """Every k x k nonnegative matrix with row sums 2n, unpruned, rows in lex order."""
+    rows = [r for r in itertools.product(range(2 * n + 1), repeat=k) if sum(r) == 2 * n]
+    return tuple(ParameterMatrix(combo) for combo in itertools.product(rows, repeat=k))
 
 
 @pytest.fixture(scope="session")

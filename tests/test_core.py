@@ -56,8 +56,9 @@ class TestDistanceSet:
     def test_make_odd_distance_set(self):
         assert make_odd_distance_set(1).distances == (1,)
         assert make_odd_distance_set(3).distances == (1, 3, 5)
-        with pytest.raises(ValueError):
-            make_odd_distance_set(0)
+        for n in (0, True, 2.0):
+            with pytest.raises(ValueError):
+                make_odd_distance_set(n)
 
 
 class TestNeighborOffsets:

@@ -13,6 +13,7 @@ from circulant_colorings import (
     PeriodicColoring,
     candidate_matrices,
     canonical_form,
+    check_conjecture,
     check_perfect,
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
@@ -20,7 +21,9 @@ from circulant_colorings import (
     surjective_word_count,
     window_is_consistent,
 )
-from conftest import brute_perfect_words, consistent_windows
+from circulant_colorings.enumeration import _has_parity_split, _is_balanced, _support_symmetric
+from circulant_colorings.perfection import admissible_matrix_templates
+from conftest import all_row_sum_matrices, brute_perfect_words, consistent_windows
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
@@ -102,6 +105,9 @@ class TestEnumeratePerfectFinite:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_perfect_finite(30, D1, 2, word_budget=1000)
+        for t, dset, k in ((0, D1, 1), (3, D1, 0), (6.0, D2, 2), (True, D1, 1), (4, D1, True)):
+            with pytest.raises(ValueError):
+                enumerate_perfect_finite(t, dset, k)
 
     def test_deterministic_order(self):
         a = enumerate_perfect_finite(8, D2, 2).entries
@@ -114,19 +120,57 @@ class TestCandidateMatrices:
     def test_two_color_counts(self):
         for n, expected in ((1, 4), (2, 10), (3, 16), (4, 22)):
             assert len(candidate_matrices(n, 2)) == expected
+        # the pruning rules rediscover exactly the admissible 2-color templates
+        for n in range(1, 8):
+            templates = {m for fam in admissible_matrix_templates(n) for m in fam.matrices()}
+            assert set(candidate_matrices(n, 2)) == templates, n
 
     def test_single_color(self):
         assert candidate_matrices(2, 1) == (ParameterMatrix(((4,),)),)
 
     def test_general_row_sums(self):
+        raw = all_row_sum_matrices(1, 3)
+        assert len(raw) == 216
+        assert all(m.row_sums() == (2, 2, 2) for m in raw)
+        assert len(set(raw)) == 216
         mats = candidate_matrices(1, 3)
-        assert len(mats) == 216
         assert all(m.row_sums() == (2, 2, 2) for m in mats)
-        assert len(set(mats)) == 216
+        assert len(set(mats)) == len(mats) == 13
+
+    def test_pruning_stage_counts(self):
+        # (n, k): support-symmetric, + balance, + parity, S_k orbits
+        table = {
+            (2, 3): (553, 320, 46, 13),
+            (3, 3): (5104, 1839, 85, 23),
+            (1, 4): (176, 51, 51, 4),
+            (2, 4): (25329, 9714, 152, 14),
+            (1, 5): (1438, 252, 252, 4),
+        }
+        for (n, k), expected in table.items():
+            symmetric = list(_support_symmetric(n, k))
+            balanced = [rows for rows in symmetric if _is_balanced(rows)]
+            parity = [rows for rows in balanced if _has_parity_split(rows)]
+            mats = candidate_matrices(n, k)
+            assert [m.rows for m in mats] == parity, (n, k)
+            perms = list(itertools.permutations(range(1, k + 1)))
+            orbits = {min(m.relabeled(p).rows for p in perms) for m in mats}
+            assert (len(symmetric), len(balanced), len(parity), len(orbits)) == expected, (n, k)
+            pruned = set(parity)
+            assert all(m.relabeled(p).rows in pruned for m in mats for p in perms), (n, k)
+        for n, k in ((2, 3), (1, 4)):
+            raw = {
+                m.rows
+                for m in all_row_sum_matrices(n, k)
+                if all((m.rows[i][j] > 0) == (m.rows[j][i] > 0) for i in range(k) for j in range(k))
+            }
+            assert set(_support_symmetric(n, k)) == raw, (n, k)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             candidate_matrices(4, 4, matrix_budget=10)
+        for n, k in ((True, 3), (1, 2.0), (0, 2), (1, 0)):
+            with pytest.raises(ValueError):
+                candidate_matrices(n, k)
 
 
 class TestAutomaton:
@@ -229,12 +273,30 @@ class TestEnumeratePeriodicPerfect:
             enumerate_periodic_perfect(1, 2, matrices=(ParameterMatrix(((2, 0, 0),) * 3),))
         with pytest.raises(ValueError):
             enumerate_periodic_perfect(1, 2, matrices=(ParameterMatrix(((0, 4), (4, 0))),))
+        for n, k in ((True, 2), (1, 2.0), (0, 2)):
+            with pytest.raises(ValueError):
+                enumerate_periodic_perfect(n, k)
+            with pytest.raises(ValueError):
+                check_conjecture(n, k)
 
     def test_restricting_matrices_restricts_output(self, periodic_k2):
         bipartite = ParameterMatrix(((0, 4), (4, 0)))
         result = enumerate_periodic_perfect(2, 2, matrices=(bipartite,))
         assert result.words() == {(1, 2)}
         assert result.words() < periodic_k2[2].words()
+        # a single conjugate that is not its orbit's least image
+        conjugate = ParameterMatrix(((3, 1), (2, 2)))
+        result = enumerate_periodic_perfect(2, 2, matrices=(conjugate,))
+        assert result.words() == {(1, 1, 2)}
+        assert result.entries == tuple(e for e in periodic_k2[2].entries if e[1] == conjugate)
+
+    def test_pruned_matrices_match_unpruned(self, periodic_k2):
+        # soundness of the pruning rules: searching every row-sum-2n matrix
+        # finds nothing the pruned, orbit-wise search misses
+        for n, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)):
+            default = periodic_k2[n] if k == 2 else enumerate_periodic_perfect(n, k)
+            unpruned = enumerate_periodic_perfect(n, k, matrices=all_row_sum_matrices(n, k))
+            assert unpruned.entries == default.entries, (n, k)
 
     def test_deterministic(self):
         a = enumerate_periodic_perfect(2, 2)
