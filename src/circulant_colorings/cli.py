@@ -34,7 +34,7 @@ from .enumeration import (
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
 )
-from .verification import build_induced_set, check_conjecture, check_theorem_k2, induce
+from .verification import _pull_back, build_induced_set, check_conjecture, check_theorem_k2
 
 # Fixed fill palette for DOT output; colorings with more than 12 colors cycle.
 DOT_PALETTE = (
@@ -230,11 +230,10 @@ def _cmd_induce(args) -> int:
     if not isinstance(coloring, FiniteColoring):
         raise UsageError("induce expects a finite coloring")
     try:
-        induced = induce(coloring, dset)
+        induced, matrix = _pull_back(coloring, dset)
     except ValueError as exc:
         print(f"induce: {exc}", file=sys.stderr)
         return 1
-    matrix = check_perfect(induced, dset).matrix
     payload = {"coloring": coloring_to_json(induced, dset), "matrix": matrix.to_lists()}
     if args.format == "json":
         _emit(_json_line(payload) + "\n", args)
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-states",
         type=int,
         default=None,
-        help="cap on window states and on the raw count C(2n+k-1,k-1)^k of row-sum-2n matrices",
+        help="cap on the start windows walked and on the candidate matrices generated",
     )
     common.add_argument(
         "--budget-words", type=int, default=None, help="cap on candidate words searched"

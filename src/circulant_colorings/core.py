@@ -77,9 +77,7 @@ def neighbor_offsets(dset: DistanceSet, t: int | None = None) -> tuple[int, ...]
     if t is None or t == math.inf:
         offs = [s * d for d in dset for s in (1, -1)]
     else:
-        t = int(t)
-        if t < 1:
-            raise ValueError(f"order must be >= 1, got {t}")
+        require_positive_int("order", t)
         offs = [(s * d) % t for d in dset for s in (1, -1)]
     return tuple(sorted(offs))
 
@@ -92,8 +90,7 @@ class FiniteCirculant:
     dset: DistanceSet
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        require_positive_int("order", self.order)
 
     @property
     def degree(self) -> int:

@@ -10,18 +10,37 @@ recoloring (ParameterMatrix.relabeled), and rotations and reflections are
 graph automorphisms, so an orbit representative keeps the matrix of the
 labeling it came from.
 
-The infinite graphs Ci(D_n) are handled by a forced-extension automaton.  Any
-perfect coloring is periodic, and a window of 4n-1 consecutive colors both
-certifies its center vertex (whose whole neighborhood lies inside the window)
-and forces the color one step beyond the window.  That step rule,
-_forced_color, is the only one: the vertex just past the center sees all its
-2n neighbors but the one at offset 4n-1, so its row (summing to 2n) minus the
-known counts (summing to 2n-1) leaves deficits that sum to 1.  Either one is
-negative and no extension is consistent, or exactly one is 1 and that color
-is forced.  The rule depends only on (row, known), pairs that recur millions
-of times in a search, so it is cached.  Perfect colorings are therefore
-precisely the cycles of the transition map on consistent windows, enumerated
-per candidate parameter matrix.
+The infinite graphs Ci(D_n) are handled by a forced-extension recurrence.
+In Ci(D_n) the neighborhood of v is {v-2n+1, v-2n+3, ..., v+2n-1}, so
+
+    N(v+2) = N(v) - {v-2n+1} + {v+2n+1}.
+
+In a perfect coloring c with rows r, counting colors on both sides gives
+e_{c(v+2n+1)} = r_{c(v+2)} - r_{c(v)} + e_{c(v-2n+1)}: a recurrence of order
+4n with three taps.  The state is a window of 4n consecutive colors whose
+two middle vertices (offsets 2n-1 and 2n) see their rows; their
+neighborhoods are exactly the even and the odd offsets of the window.  One
+step forces the color at offset 4n from the taps (c(2n-1), c(2n+1), c(0)):
+the vertex at 2n+1 sees r_{c(2n-1)} - e_{c(0)} inside the window and needs
+r_{c(2n+1)}.  _forced_color(row, known) is the only step rule: row and
+known sum to 2n and 2n-1, so the deficits row - known sum to 1, and either
+one is negative (no extension is consistent) or exactly one is 1 and that
+color is forced.  Per matrix the rule is tabulated once over its k^3 taps,
+so a step is one lookup, and the 4n-1-long windows of Automaton and
+step_window are the same rule seen from the vertex at 2n+1.
+
+Perfect colorings are precisely the cycles of this map on consistent
+windows, and the map is injective there: the same identity recovers
+e_{c(0)} = r_{c(2n-1)} - r_{c(2n+1)} + e_{c(4n)} from the next window, so
+two consistent windows with one successor are equal.  A walk from a start
+s therefore never enters a cycle it did not start on: it returns to s or
+dies.  Each cycle is recorded from its least window only, and a walk stops
+at the first window below s; no cycle is lost, because a walk that meets a
+smaller window either dies or lies on a cycle whose least window is
+smaller than s and records it.  No visited set or path is kept, and the
+start windows are generated directly from the rows (every consistent
+window is a start), so memory is the output and the work is bounded by
+the closed-form number of starts, which the state budget caps.
 
 Only matrices that some onto perfect coloring could have are searched.
 candidate_matrices keeps those that pass three necessary conditions, each
@@ -43,9 +62,8 @@ The stats key matrices_tried counts those orbit representatives.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial, prod
 
 from .core import (
     BudgetExceededError,
@@ -333,31 +351,32 @@ def candidate_matrices(
       conjugation, so the returned set is closed under it;
       enumerate_periodic_perfect searches one matrix per orbit.
 
-    The budget caps the raw count C(2n+k-1, k-1)^k of row-sum-2n matrices,
-    for every k, not the number of matrices returned.
+    The budget caps the number of support-symmetric matrices generated,
+    the work the pruning rules do, and is checked as they are generated.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
     budget = DEFAULT_STATE_BUDGET if matrix_budget is None else matrix_budget
-    total = comb(2 * n + k - 1, k - 1) ** k
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} candidate matrices for n={n}, k={k} exceed the budget of {budget}"
-        )
-    return tuple(
-        ParameterMatrix(rows)
-        for rows in _support_symmetric(n, k)
-        if _is_balanced(rows) and _has_parity_split(rows)
-    )
+    kept = []
+    for generated, rows in enumerate(_support_symmetric(n, k), 1):
+        if generated > budget:
+            raise BudgetExceededError(
+                f"more than {budget} support-symmetric matrices for n={n}, k={k} "
+                f"exceed the budget"
+            )
+        if _is_balanced(rows) and _has_parity_split(rows):
+            kept.append(ParameterMatrix(rows))
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class Automaton:
     """Forced-extension automaton for perfect colorings of Ci(D_n).
 
-    States are windows of 4n-1 consecutive colors.  A state is consistent
-    when its center vertex (offset 2n-1, whose neighborhood lies entirely
-    inside the window) sees exactly its matrix row.
+    Its public single step works on windows of 4n-1 consecutive colors.  A
+    window is consistent when its center vertex (offset 2n-1, whose
+    neighborhood lies entirely inside the window) sees exactly its matrix
+    row.
     """
 
     n: int
@@ -365,8 +384,8 @@ class Automaton:
     matrix: ParameterMatrix
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        require_positive_int("n", self.n)
+        require_positive_int("k", self.k)
         if self.matrix.k != self.k:
             raise ValueError(f"matrix is {self.matrix.k}x{self.matrix.k}, expected k={self.k}")
         if self.matrix.row_sums() != (2 * self.n,) * self.k:
@@ -409,7 +428,6 @@ def window_is_consistent(automaton: Automaton, window: WindowState) -> bool:
     return counts == automaton.matrix.rows[window[automaton.center] - 1]
 
 
-@cache
 def _forced_color(row: tuple[int, ...], known: tuple[int, ...]) -> int | None:
     """The color whose deficit row - known is 1, or None if any deficit is negative."""
     deficits = [r - c for r, c in zip(row, known)]
@@ -426,6 +444,94 @@ def step_window(automaton: Automaton, window: WindowState) -> int | None:
     return _forced_color(automaton.matrix.rows[window[2 * automaton.n] - 1], known)
 
 
+# The engine encodes a 4n-window as the base-k integer whose digits, most
+# significant first, are the colors minus 1 at offsets 0..4n-1, so integer
+# order is lexicographic window order and a step is a shift.
+
+
+def _minus(row: tuple[int, ...], digit: int) -> tuple[int, ...]:
+    """row - e_(digit + 1): the counts with one vertex of that color removed."""
+    return tuple(count - (c == digit) for c, count in enumerate(row))
+
+
+def _tap_table(rows: tuple[tuple[int, ...], ...]) -> list[int | None]:
+    """The forced digit for each tap triple (a, b, o) = digits at offsets (2n-1, 2n+1, 0).
+
+    Entry (a * k + b) * k + o is _forced_color(r_b, r_a - e_o) - 1, or None
+    for a dead end.  Entries with r_a[o] = 0 are never read: in a consistent
+    window c(0) is a neighbor of the vertex at 2n-1.
+    """
+    table = []
+    for a, b, o in product(range(len(rows)), repeat=3):
+        forced = _forced_color(rows[b], _minus(rows[a], o))
+        table.append(None if forced is None else forced - 1)
+    return table
+
+
+def _arrangement_values(counts: tuple[int, ...], weights: tuple[int, ...]) -> list[int]:
+    """sum(digit * weight) over every distinct arrangement of a multiset on the weights.
+
+    counts[d] copies of digit d are placed, one per weight; sum(counts) must
+    equal len(weights).
+    """
+    left = list(counts)
+    values: list[int] = []
+
+    def place(i: int, value: int):
+        if i == len(weights):
+            values.append(value)
+            return
+        for digit, count in enumerate(left):
+            if count:
+                left[digit] -= 1
+                place(i + 1, value + digit * weights[i])
+                left[digit] += 1
+
+    place(0, 0)
+    return values
+
+
+def _multinomial(counts: tuple[int, ...]) -> int:
+    """Distinct arrangements of a multiset with these counts; 0 if one is negative."""
+    if min(counts) < 0:
+        return 0
+    return factorial(sum(counts)) // prod(map(factorial, counts))
+
+
+def _start_count(rows: tuple[tuple[int, ...], ...]) -> int:
+    """Closed-form number of consistent 4n-windows, the starts of one matrix."""
+    k = len(rows)
+    return sum(
+        _multinomial(_minus(rows[a], b)) * _multinomial(_minus(rows[b], a))
+        for a in range(k)
+        for b in range(k)
+    )
+
+
+def _start_windows(n: int, rows: tuple[tuple[int, ...], ...]):
+    """Every consistent 4n-window of one matrix, encoded, generated from the rows.
+
+    With a = c(2n-1) and b = c(2n), the even offsets other than 2n hold
+    r_a - e_b and the odd offsets other than 2n-1 hold r_b - e_a, in every
+    distinct arrangement.
+    """
+    k = len(rows)
+    length = 4 * n
+    weight = [k ** (length - 1 - offset) for offset in range(length)]
+    even = tuple(weight[i] for i in range(0, length, 2) if i != 2 * n)
+    odd = tuple(weight[i] for i in range(1, length, 2) if i != 2 * n - 1)
+    for a in range(k):
+        for b in range(k):
+            if not rows[a][b] or not rows[b][a]:
+                continue
+            middle = a * weight[2 * n - 1] + b * weight[2 * n]
+            evens = _arrangement_values(_minus(rows[a], b), even)
+            odds = _arrangement_values(_minus(rows[b], a), odd)
+            for e in evens:
+                for o in odds:
+                    yield middle + e + o
+
+
 def enumerate_periodic_perfect(
     n: int,
     k: int,
@@ -434,13 +540,14 @@ def enumerate_periodic_perfect(
 ) -> EnumerationResult:
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
-    Per searched matrix, every consistent window is followed through the
-    forced-extension map; the cycles of that map are exactly the perfect
-    colorings (every perfect coloring is periodic, so its windows close a
-    cycle, and conversely a cycle certifies every vertex).  Visited states
-    are marked globally per matrix so each cycle is collected once.  Windows
-    are pregrouped by their center's (color, counts) key, making the
-    consistent set of each matrix a dictionary lookup.
+    Per searched matrix, every consistent 4n-window is a start and is walked
+    through the three-tap map (see the module docstring): the cycles of the
+    map are exactly the perfect colorings.  The map is injective on
+    consistent windows, so a walk returns to its start or dies; a cycle is
+    recorded only from its least window, and a walk stops at the first
+    window below its start, which loses no cycle because that cycle is
+    recorded from its own, smaller, least window.  Nothing but the output is
+    stored.  stats["states_followed"] counts the steps walked.
 
     The matrices (candidate_matrices by default) are grouped into S_k
     conjugacy orbits and only the least image of each orbit is searched.  A
@@ -448,87 +555,68 @@ def enumerate_periodic_perfect(
     onto cycle is reported under every recoloring whose image matrix is one
     of the given matrices, carrying that matrix object; caller-given
     matrices therefore restrict the output exactly as a search of each of
-    them would.  The state budget caps both the window space and, through
-    candidate_matrices, the raw matrix count; matrices given by the caller
-    must be k x k with every row summing to 2n.
+    them would.  The state budget caps the closed-form number of start
+    windows, sum over a, b of multinomial(2n-1; r_a - e_b) *
+    multinomial(2n-1; r_b - e_a) over the searched matrices, checked before
+    any walk, and, through candidate_matrices, the matrices generated;
+    matrices given by the caller must be k x k with every row summing to 2n.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
     budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
-    states = k ** (4 * n - 1)
-    if states > budget:
-        raise BudgetExceededError(
-            f"window space k^(4n-1) = {k}^{4 * n - 1} = {states} exceeds the budget of {budget}"
-        )
     if matrices is None:
         matrices = candidate_matrices(n, k, budget)
     else:
         for matrix in matrices:
             Automaton(n, k, matrix)  # raises ValueError on a wrong size or row sum
 
-    window_length = 4 * n - 1
-    center = 2 * n - 1
-    center_pos = _center_positions(n)
-    ext_pos = _extension_positions(n)
     colors = range(1, k + 1)
-
-    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
-    ext_info: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for window in product(colors, repeat=window_length):
-        key = (window[center], _window_counts(window, center_pos, k))
-        groups.setdefault(key, []).append(window)
-        ext_info[window] = (window[2 * n], _window_counts(window, ext_pos, k))
-
-    found: dict[tuple[int, ...], Entry] = {}
-    stats = {"matrices_tried": 0, "states_followed": 0, "cycles_found": 0}
-    all_colors = set(colors)
     recolorings = tuple(permutations(colors))
     given: dict[tuple[tuple[int, ...], ...], ParameterMatrix] = {}
     for matrix in matrices:
         given.setdefault(matrix.rows, matrix)
     searched: set[tuple[tuple[int, ...], ...]] = set()
-
+    orbits = []  # (least image, [(recoloring, given matrix object)])
     for matrix in given.values():
         if matrix.rows in searched:
             continue
-        stats["matrices_tried"] += 1
         representative = min((matrix.relabeled(p) for p in recolorings), key=lambda m: m.rows)
         images = [(p, representative.relabeled(p)) for p in recolorings]
         searched.update(image.rows for _, image in images)
         targets = [(p, given[image.rows]) for p, image in images if image.rows in given]
-        visited: set[tuple[int, ...]] = set()
-        rows = representative.rows
-        # visited is shared across starts, so each reachable window is followed
-        # once per matrix whatever the start order: the cycles found and
-        # states_followed do not depend on it.
-        starts = (w for color in colors for w in groups.get((color, rows[color - 1]), ()))
-        for start in starts:
-            if start in visited:
-                continue
-            path: list[tuple[int, ...]] = []
-            position: dict[tuple[int, ...], int] = {}
+        orbits.append((representative.rows, targets))
+    starts = sum(_start_count(rows) for rows, _ in orbits)
+    if starts > budget:
+        raise BudgetExceededError(
+            f"{starts} start windows for n={n}, k={k} exceed the budget of {budget}"
+        )
+
+    found: dict[tuple[int, ...], Entry] = {}
+    stats = {"matrices_tried": len(orbits), "states_followed": 0, "cycles_found": 0}
+    top = k ** (4 * n - 1)  # weight of offset 0
+    weight_a = k ** (2 * n)  # offset 2n-1
+    weight_b = k ** (2 * n - 2)  # offset 2n+1
+    for rows, targets in orbits:
+        step = _tap_table(rows)
+        for start in _start_windows(n, rows):
             window = start
+            tail: list[int] = []  # forced digits; once back at start, one period
             while True:
-                if window in visited:
-                    break
-                if window in position:
-                    cycle = path[position[window]:]
-                    stats["cycles_found"] += 1
-                    word = tuple(w[0] for w in cycle)
-                    if set(word) == all_colors:
-                        for p, target in targets:
-                            coloring = PeriodicColoring(tuple(p[c - 1] for c in word), k)
-                            found.setdefault(coloring.word, (coloring, target))
-                    break
-                position[window] = len(path)
-                path.append(window)
-                probe_color, known = ext_info[window]
-                forced = _forced_color(rows[probe_color - 1], known)
+                taps = (window // weight_a % k * k + window // weight_b % k) * k + window // top
+                forced = step[taps]
                 if forced is None:
                     break
-                window = window[1:] + (forced,)
-            visited.update(path)
-            stats["states_followed"] += len(path)
+                tail.append(forced)
+                window = window % top * k + forced
+                if window <= start:
+                    if window == start:
+                        stats["cycles_found"] += 1
+                        if len(set(tail)) == k:
+                            for p, target in targets:
+                                coloring = PeriodicColoring(tuple(p[d] for d in tail), k)
+                                found.setdefault(coloring.word, (coloring, target))
+                    break
+            stats["states_followed"] += len(tail)
 
     entries = tuple(found[w] for w in sorted(found))
     stats["colorings"] = len(entries)

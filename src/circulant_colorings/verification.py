@@ -52,13 +52,24 @@ def induce(coloring: FiniteColoring, dset: DistanceSet) -> PeriodicColoring:
     result is perfect with the same matrix.  Raises ValueError when the given
     finite coloring is not perfect (there is nothing to pull back).
     """
+    return _pull_back(coloring, dset)[0]
+
+
+def _pull_back(
+    coloring: FiniteColoring, dset: DistanceSet
+) -> tuple[PeriodicColoring, ParameterMatrix]:
+    """induce, with the matrix of its one check: the pullback's matrix.
+
+    The covering map keeps neighbor counts, multiedges included, so the
+    finite verdict's matrix needs no second check on the infinite graph.
+    """
     verdict = check_perfect(coloring, dset)
     if not verdict.is_perfect:
         raise ValueError(
             f"coloring is not perfect on distances {dset.distances}; "
             f"witness vertices {verdict.witness} disagree"
         )
-    return PeriodicColoring(coloring.word, coloring.k)
+    return PeriodicColoring(coloring.word, coloring.k), verdict.matrix
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,13 @@ import itertools
 
 import pytest
 
-from circulant_colorings import ParameterMatrix, enumerate_periodic_perfect, window_is_consistent
+from circulant_colorings import (
+    EnumerationResult,
+    ParameterMatrix,
+    PeriodicColoring,
+    enumerate_periodic_perfect,
+    window_is_consistent,
+)
 
 
 def edge_multiset_adjacency(t, distances):
@@ -56,6 +62,65 @@ def consistent_windows(automaton):
         for w in itertools.product(range(1, automaton.k + 1), repeat=automaton.window_length)
         if window_is_consistent(automaton, w)
     )
+
+
+def table_periodic_search(n, k, matrices):
+    """Perfect colorings of Ci(D_n) by the window-table walk, one matrix at a time.
+
+    Every one of the k^(4n-1) windows is tabulated once: its center's
+    (color, counts) key, and the color and known counts of the vertex one
+    past the center, counted from explicit neighbor offsets.  Each distinct
+    matrix is searched on its own, with no color-orbit folding: its
+    consistent windows are followed with a visited set, the next color being
+    the one whose deficit row - known is 1 (none if a deficit is negative),
+    and every onto cycle is kept with the first given matrix object of its
+    rows.
+    """
+    length = 4 * n - 1
+    center = 2 * n - 1
+
+    def counts_at(window, positions):
+        counts = [0] * k
+        for p in positions:
+            counts[window[p] - 1] += 1
+        return tuple(counts)
+
+    odd = [s * d for d in range(1, 2 * n, 2) for s in (1, -1)]
+    center_offsets = [center + d for d in odd]
+    probe_offsets = [center + 1 + d for d in odd if center + 1 + d < length]
+    groups, ext_info = {}, {}
+    for window in itertools.product(range(1, k + 1), repeat=length):
+        groups.setdefault((window[center], counts_at(window, center_offsets)), []).append(window)
+        ext_info[window] = (window[center + 1], counts_at(window, probe_offsets))
+
+    given = {}
+    for matrix in matrices:
+        given.setdefault(matrix.rows, matrix)
+    found = {}
+    for matrix in given.values():
+        rows = matrix.rows
+        visited = set()
+        starts = [w for c in range(1, k + 1) for w in groups.get((c, rows[c - 1]), ())]
+        for start in starts:
+            if start in visited:
+                continue
+            path, position, window = [], {}, start
+            while window not in visited and window not in position:
+                position[window] = len(path)
+                path.append(window)
+                probe, known = ext_info[window]
+                deficits = [r - c for r, c in zip(rows[probe - 1], known)]
+                if min(deficits) < 0:
+                    break
+                window = window[1:] + (deficits.index(1) + 1,)
+            else:
+                if window in position:
+                    word = tuple(w[0] for w in path[position[window]:])
+                    if len(set(word)) == k:
+                        coloring = PeriodicColoring(word, k)
+                        found.setdefault(coloring.word, (coloring, matrix))
+            visited.update(path)
+    return EnumerationResult(tuple(found[w] for w in sorted(found)))
 
 
 def all_row_sum_matrices(n, k):

@@ -180,6 +180,24 @@ class TestInduce:
         )
         assert code == 1
 
+    def test_checks_once(self, tmp_path, monkeypatch):
+        # the pullback's matrix is the finite verdict's: one check_perfect call
+        from circulant_colorings import cli, verification
+
+        calls = []
+        original = verification.check_perfect
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "check_perfect", counting)
+        monkeypatch.setattr(cli, "check_perfect", counting)
+        for coloring, expected in (("1,2,1,1,3,3,2,1", 0), ("1,1,1,2,2,2", 1)):
+            calls.clear()
+            code, _ = run(tmp_path, "induce", "--distances", "1,3", "--coloring", coloring)
+            assert (code, len(calls)) == (expected, 1), coloring
+
 
 class TestCheck:
     def test_theorem_smallest(self, tmp_path):

@@ -76,6 +76,11 @@ class TestNeighborOffsets:
         # 2 == 0 mod 2: a loop at every vertex, counted twice
         assert neighbor_offsets(DistanceSet((2,)), 2) == (0, 0)
 
+    def test_rejects_non_integer_order(self):
+        for t in (0, 6.7, 6.0, True):
+            with pytest.raises(ValueError):
+                neighbor_offsets(DistanceSet((1, 3)), t)
+
 
 class TestFiniteCirculant:
     def test_degree_counts_multiplicity(self):
@@ -92,6 +97,11 @@ class TestFiniteCirculant:
     def test_edge_count(self):
         g = FiniteCirculant(6, DistanceSet((1, 3)))
         assert len(g.edges()) == 12
+
+    def test_rejects_non_integer_order(self):
+        for t in (0, True, 6.0):
+            with pytest.raises(ValueError):
+                FiniteCirculant(t, DistanceSet((1,)))
 
 
 class TestColoringValidation:

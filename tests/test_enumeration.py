@@ -1,6 +1,7 @@
 """Search engines: canonical forms, finite scan, window automaton."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,9 +22,21 @@ from circulant_colorings import (
     surjective_word_count,
     window_is_consistent,
 )
-from circulant_colorings.enumeration import _has_parity_split, _is_balanced, _support_symmetric
+from circulant_colorings.enumeration import (
+    _has_parity_split,
+    _is_balanced,
+    _start_count,
+    _start_windows,
+    _support_symmetric,
+    _tap_table,
+)
 from circulant_colorings.perfection import admissible_matrix_templates
-from conftest import all_row_sum_matrices, brute_perfect_words, consistent_windows
+from conftest import (
+    all_row_sum_matrices,
+    brute_perfect_words,
+    consistent_windows,
+    table_periodic_search,
+)
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
@@ -168,6 +181,10 @@ class TestCandidateMatrices:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             candidate_matrices(4, 4, matrix_budget=10)
+        # the budget counts support-symmetric matrices generated: 26 at (1, 3)
+        assert len(candidate_matrices(1, 3, matrix_budget=26)) == 13
+        with pytest.raises(BudgetExceededError):
+            candidate_matrices(1, 3, matrix_budget=25)
         for n, k in ((True, 3), (1, 2.0), (0, 2), (1, 0)):
             with pytest.raises(ValueError):
                 candidate_matrices(n, k)
@@ -186,6 +203,9 @@ class TestAutomaton:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             Automaton(1, 3, ParameterMatrix(((0, 2), (2, 0))))
+        for n, k, rows in ((True, 2, ((0, 2), (2, 0))), (1, True, ((2,),)), (1.0, 1, ((2,),))):
+            with pytest.raises(ValueError):
+                Automaton(n, k, ParameterMatrix(rows))
 
     def test_consistency_simple(self):
         auto = Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0))))
@@ -220,6 +240,75 @@ class TestAutomaton:
                 assert window_is_consistent(auto, window)
                 forced = step_window(auto, window)
                 assert forced == coloring.color_at(length), (n, k, coloring.word)
+
+
+def _decode(window, n, k):
+    """Colors at offsets 0..4n-1 of an encoded 4n-window."""
+    return tuple(window // k ** (4 * n - 1 - i) % k + 1 for i in range(4 * n))
+
+
+class TestThreeTapEngine:
+    def test_start_windows_are_every_consistent_window(self):
+        # closed-form count, no repeats, every start consistent, and (by a
+        # scan of all k^(4n) windows) no consistent window missed
+        for n, k in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
+            windows = list(itertools.product(range(1, k + 1), repeat=4 * n))
+            for matrix in candidate_matrices(n, k):
+                auto = Automaton(n, k, matrix)
+                starts = [_decode(w, n, k) for w in _start_windows(n, matrix.rows)]
+                assert len(starts) == len(set(starts)) == _start_count(matrix.rows), (n, k, matrix)
+                consistent = {
+                    w for w in windows
+                    if window_is_consistent(auto, w[:-1]) and window_is_consistent(auto, w[1:])
+                }
+                assert set(starts) == consistent, (n, k, matrix)
+
+    def test_tap_table_matches_step_window(self):
+        # taps (a, b, o) = colors at offsets 2n-1, 2n+1 and 0 of a 4n-window;
+        # step_window sees the same step on the window's last 4n-1 colors,
+        # where the vertex at 2n+1 is its probe and the even offsets 2..4n-2
+        # are its known neighbors, holding r_a - e_o
+        for n, k in ((2, 3), (1, 4)):
+            for matrix in candidate_matrices(n, k):
+                auto = Automaton(n, k, matrix)
+                table = _tap_table(matrix.rows)
+                reached = 0
+                for a, b, o in itertools.product(range(1, k + 1), repeat=3):
+                    known = [count - (c == o) for c, count in enumerate(matrix.rows[a - 1], 1)]
+                    if min(known) < 0:
+                        continue  # c(0) is a neighbor of c(2n-1): never read
+                    reached += 1
+                    neighbors = [c for c, count in enumerate(known, 1) for _ in range(count)]
+                    window = [1] * (4 * n - 1)
+                    window[1::2] = neighbors
+                    window[2 * n - 2] = a
+                    window[2 * n] = b
+                    expected = step_window(auto, tuple(window))
+                    entry = table[((a - 1) * k + b - 1) * k + o - 1]
+                    assert (None if entry is None else entry + 1) == expected, (matrix, a, b, o)
+                assert reached == sum(1 for row in matrix.rows for count in row if count) * k
+
+    def test_matches_table_oracle(self, periodic_k2):
+        # entries and the given matrix objects, against the per-matrix table walk
+        for n, k in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (1, 5)):
+            mats = candidate_matrices(n, k)
+            result = enumerate_periodic_perfect(n, k, matrices=mats)
+            oracle = table_periodic_search(n, k, mats)
+            assert result.entries == oracle.entries, (n, k)
+            assert all(m is o for (_, m), (_, o) in zip(result.entries, oracle.entries)), (n, k)
+            if k == 2:
+                assert result.entries == periodic_k2[n].entries, n
+
+    def test_random_matrix_subsets_match_oracle(self):
+        rng = random.Random(20261018)
+        for n, k in ((2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (1, 5)):
+            mats = candidate_matrices(n, k)
+            for _ in range(4):
+                subset = tuple(rng.sample(mats, rng.randint(1, len(mats))))
+                result = enumerate_periodic_perfect(n, k, matrices=subset)
+                oracle = table_periodic_search(n, k, subset)
+                assert result.entries == oracle.entries, (n, k, subset)
+                assert all(m is o for (_, m), (_, o) in zip(result.entries, oracle.entries))
 
 
 class TestEnumeratePeriodicPerfect:
@@ -262,11 +351,17 @@ class TestEnumeratePeriodicPerfect:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_periodic_perfect(3, 3, state_budget=1000)
+        # (2, 2): 17 matrices generated, 117 start windows over the 6 searched
+        assert len(enumerate_periodic_perfect(2, 2, state_budget=117).entries) == 18
+        with pytest.raises(BudgetExceededError):
+            enumerate_periodic_perfect(2, 2, state_budget=116)
 
     def test_budget_caps_candidate_matrices(self):
-        # 3^7 = 2187 windows fit, but the 15^3 = 3375 candidate matrices do not
+        # the 21 start windows of (1, 3) fit, but the 26 support-symmetric
+        # matrices candidate_matrices generates do not
+        assert len(enumerate_periodic_perfect(1, 3, state_budget=26).entries) == 14
         with pytest.raises(BudgetExceededError):
-            enumerate_periodic_perfect(2, 3, state_budget=3000)
+            enumerate_periodic_perfect(1, 3, state_budget=25)
 
     def test_rejects_invalid_matrices(self):
         with pytest.raises(ValueError):
