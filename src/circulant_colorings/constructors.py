@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
-from .core import BudgetExceededError, FiniteColoring, PeriodicColoring
+from .core import (
+    BudgetExceededError,
+    FiniteColoring,
+    PeriodicColoring,
+    require_positive_int,
+)
 from .enumeration import DEFAULT_WORD_BUDGET
 
 
@@ -66,8 +71,7 @@ def construct_4n(
     count, which is exactly the perfection condition on K_{2n,2n}.
     """
     even_word, odd_word = tuple(even_word), tuple(odd_word)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_positive_int("n", n)
     if len(even_word) != 2 * n or len(odd_word) != 2 * n:
         raise ValueError(f"part words must have length {2 * n}")
     if any(not 1 <= c <= k for c in even_word + odd_word):
@@ -150,8 +154,7 @@ class MatchingSplit:
 
 def _matched_graph(n: int, t: int) -> int:
     """Number of matching edges of Ci_t(D_n); t must be 4n-2 or 4n+2."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_positive_int("n", n)
     if t not in (4 * n - 2, 4 * n + 2):
         raise ValueError(f"order {t} is not 4n-2 or 4n+2 for n={n}")
     return t // 2

@@ -200,8 +200,7 @@ def neighbor_color_counts(
 
 def covering_reduction(i: int, t: int) -> int:
     """Image of vertex i of the infinite graph in Ci_t, i.e. i mod t in 0..t-1."""
-    if t < 1:
-        raise ValueError(f"order must be >= 1, got {t}")
+    require_positive_int("order", t)
     return i % t
 
 

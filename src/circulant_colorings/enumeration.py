@@ -2,13 +2,18 @@
 
 Finite graphs are searched by color-class partition: perfection is invariant
 under any bijective recoloring, so it is decided once per partition of the
-vertices (enumerated as restricted growth strings with exactly k classes) and
-the surviving classes are expanded through all k! labelings.  That keeps the
-work near the number of partitions instead of k^t.  Each partition is checked
-exactly once; a labeling's matrix is the class matrix conjugated by the
-recoloring (ParameterMatrix.relabeled), and rotations and reflections are
-graph automorphisms, so an orbit representative keeps the matrix of the
-labeling it came from.
+vertices and the perfect classes are expanded through all k! labelings.  The
+partitions (restricted growth strings with exactly k classes) are searched
+depth first, coloring vertices 0..t-1 in turn, and two rules prune a prefix
+as soon as no completion can be perfect: a vertex whose closed neighborhood
+is fully colored must see exactly the row its color's first closed vertex
+fixed (closed rule), and a colored vertex may never see more of a color
+than its fixed row allows, since counts only grow (bound rule).
+check_perfect runs once per partition that survives to a leaf and is the
+verdict and the source of its matrix; a labeling's matrix is the class
+matrix conjugated by the recoloring (ParameterMatrix.relabeled), and
+rotations and reflections are graph automorphisms, so an orbit
+representative keeps the matrix of the labeling it came from.
 
 The infinite graphs Ci(D_n) are handled by a forced-extension recurrence.
 In Ci(D_n) the neighborhood of v is {v-2n+1, v-2n+3, ..., v+2n-1}, so
@@ -64,6 +69,7 @@ The stats key matrices_tried counts those orbit representatives.
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import comb, factorial, prod
+from operator import gt
 
 from .core import (
     BudgetExceededError,
@@ -71,6 +77,7 @@ from .core import (
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    neighbor_offsets,
     primitive_period,
     require_positive_int,
 )
@@ -130,29 +137,115 @@ def canonical_form(
     return min(_orbit_words(word, rotation, reflection, color_permutation))
 
 
-def _surjective_class_partitions(t: int, k: int):
-    """Restricted growth strings of length t with exactly k classes."""
-    word = [0] * t
-
-    def extend(i: int, used: int):
-        if k - used > t - i:
-            return
-        if i == t:
-            yield tuple(word)
-            return
-        for c in range(min(used + 1, k)):
-            word[i] = c
-            if c == used:
-                yield from extend(i + 1, used + 1)
-            else:
-                yield from extend(i + 1, used)
-
-    yield from extend(0, 0)
-
-
 def surjective_word_count(t: int, k: int) -> int:
     """Number of onto colorings of t vertices with k labeled colors."""
     return sum((-1) ** j * comb(k, j) * (k - j) ** t for j in range(k + 1))
+
+
+def check_word_budget(t: int, k: int, word_budget: int | None = None) -> None:
+    """Raise BudgetExceededError if Ci_t holds more onto k-colorings than the budget."""
+    budget = DEFAULT_WORD_BUDGET if word_budget is None else word_budget
+    candidates = surjective_word_count(t, k)
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"search space k^t = {k}^{t} holds {candidates} onto colorings, "
+            f"exceeding the budget of {budget}"
+        )
+
+
+def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict):
+    """Depth-first search for the color-class partitions that can be perfect.
+
+    Yields restricted growth strings (colors 1..k in order of first use,
+    exactly k classes) in lexicographic order, coloring vertices 0..t-1 in
+    turn; colors are 0..k-1 inside the search.  counts[v] holds
+    how many colored neighbors of v carry each color, over the multiset
+    neighbor_offsets(dset, t), so multiedges and loops count as often as
+    check_perfect counts them.  Coloring vertex i adds its color to the
+    counts of every vertex whose neighborhood holds i; then two rules prune:
+
+    * Closed rule.  closing[i] lists the vertices v whose closed
+      neighborhood {v} | N(v) has i as its last member.  Once i is colored,
+      v's color and counts are final, and in a perfect coloring they are the
+      row of v's color.  The first such vertex of a color fixes that row;
+      every later one must equal it, or no completion is perfect.  The row
+      is unset again on backtrack.
+    * Bound rule.  Coloring more vertices only adds to counts, so a colored
+      vertex whose color's row is fixed and whose partial count exceeds that
+      row in some color has final counts that differ from the row in every
+      completion.  The rule is applied to each count that grows, to the
+      counts of a vertex when it is colored, and to every colored vertex of
+      a color whose row has just been fixed.
+
+    Both rules only discard prefixes with no perfect completion.  At a leaf
+    every vertex has closed and matched its color's row, so every string
+    yielded is a perfect partition.  stats gains nodes_visited (vertices
+    colored), pruned_closed and pruned_bound (nodes each rule cut off).
+    """
+    offsets = neighbor_offsets(dset, t)
+    # seen_by[i]: the vertices whose neighborhood holds i, with multiplicity.
+    seen_by = [tuple((i - o) % t for o in offsets) for i in range(t)]
+    closing: list[list[int]] = [[] for _ in range(t)]
+    for v in range(t):
+        closing[max(v, *((v + o) % t for o in offsets))].append(v)
+    word = [0] * t
+    counts = [[0] * k for _ in range(t)]
+    rows: list[list[int] | None] = [None] * k
+    nodes = pruned_closed = pruned_bound = 0
+
+    def fits(i: int, color: int, fixed_here: list[int]) -> bool:
+        """Whether both rules pass once vertex i has color; rows fixed go in fixed_here."""
+        nonlocal pruned_closed, pruned_bound
+        for v in closing[i]:
+            row = rows[word[v]]
+            if row is None:
+                rows[word[v]] = counts[v][:]
+                fixed_here.append(word[v])
+            elif counts[v] != row:
+                pruned_closed += 1
+                return False
+        row = rows[color]
+        if row is not None and any(map(gt, counts[i], row)):
+            pruned_bound += 1
+            return False
+        for u in seen_by[i]:
+            row = rows[word[u]]
+            if u < i and row is not None and counts[u][color] > row[color]:
+                pruned_bound += 1
+                return False
+        for fixed in fixed_here:
+            row = rows[fixed]
+            for u in range(i):
+                if word[u] == fixed and any(map(gt, counts[u], row)):
+                    pruned_bound += 1
+                    return False
+        return True
+
+    def extend(i: int, used: int):
+        nonlocal nodes
+        if i == t:
+            yield tuple(c + 1 for c in word)
+            return
+        for color in range(min(used + 1, k)):
+            now_used = used + (color == used)
+            if k - now_used > t - i - 1:
+                continue
+            nodes += 1
+            word[i] = color
+            for u in seen_by[i]:
+                counts[u][color] += 1
+            fixed_here: list[int] = []
+            if fits(i, color, fixed_here):
+                yield from extend(i + 1, now_used)
+            for u in seen_by[i]:
+                counts[u][color] -= 1
+            for fixed in fixed_here:
+                rows[fixed] = None
+
+    yield from extend(0, 0)
+    stats["nodes_visited"] = nodes
+    stats["pruned_closed"] = pruned_closed
+    stats["pruned_bound"] = pruned_bound
 
 
 def enumerate_perfect_finite(
@@ -167,31 +260,35 @@ def enumerate_perfect_finite(
 ) -> EnumerationResult:
     """All perfect k-colorings of Ci_t(D), optionally reduced modulo symmetry.
 
-    Exhaustive and definition-driven: every color-class partition of the
-    vertices is tested once with check_perfect, and every coloring reported
-    carries that class's matrix relabeled to its colors.  The budget bounds
-    the number of labeled colorings the search could emit (k^t words in the
-    worst case, of which only the onto ones are candidates).
+    The color-class partitions are searched depth first over restricted
+    growth strings, pruned by the closed and bound rules of
+    _perfect_partitions as neighborhoods close; each partition that survives
+    to a leaf is checked once with check_perfect, whose verdict decides it
+    and whose matrix, relabeled, every coloring reported carries.  The
+    budget bounds the number of labeled colorings the search could emit
+    (k^t words in the worst case, of which only the onto ones are
+    candidates) and is checked before the search.
+
+    stats:
+      classes_examined -- leaves reached, one check_perfect each;
+      perfect_classes -- leaves check_perfect found perfect;
+      colorings -- entries returned;
+      nodes_visited -- vertices colored during the search;
+      pruned_closed -- nodes cut off because a closed neighborhood's counts
+        differ from its color's row;
+      pruned_bound -- nodes cut off because a partial count exceeds a row.
     """
     require_positive_int("t", t)
     require_positive_int("k", k)
-    budget = DEFAULT_WORD_BUDGET if word_budget is None else word_budget
-    candidates = surjective_word_count(t, k)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"search space k^t = {k}^{t} holds {candidates} onto colorings, "
-            f"exceeding the budget of {budget}"
-        )
+    check_word_budget(t, k, word_budget)
     found: dict[tuple[int, ...], ParameterMatrix] = {}
-    classes_examined = 0
-    perfect_classes = 0
-    for class_word in _surjective_class_partitions(t, k):
-        classes_examined += 1
-        base = tuple(c + 1 for c in class_word)
+    stats = {"classes_examined": 0, "perfect_classes": 0}
+    for base in _perfect_partitions(t, dset, k, stats):
+        stats["classes_examined"] += 1
         verdict = check_perfect(FiniteColoring(base, k), dset)
         if not verdict.is_perfect:
             continue
-        perfect_classes += 1
+        stats["perfect_classes"] += 1
         # Least rotation/reflection image of each labeling (finite words keep
         # their length: no primitive reduction), with a recoloring producing it.
         images: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -208,11 +305,7 @@ def enumerate_perfect_finite(
     entries = tuple(
         (FiniteColoring(word, k), found[word]) for word in sorted(found)
     )
-    stats = {
-        "classes_examined": classes_examined,
-        "perfect_classes": perfect_classes,
-        "colorings": len(entries),
-    }
+    stats["colorings"] = len(entries)
     return EnumerationResult(entries, stats)
 
 

@@ -20,6 +20,7 @@ from .core import (
     PeriodicColoring,
     make_odd_distance_set,
     neighbor_color_counts,
+    require_positive_int,
 )
 
 Coloring = FiniteColoring | PeriodicColoring
@@ -163,8 +164,7 @@ def admissible_matrix_templates(n: int) -> tuple[MatrixTemplateFamily, ...]:
     constraint, giving the shapes ((c,b),(c,b)), ((c-1,b),(c,b-1)) and
     ((c+1,b),(c,b+1)) respectively.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_positive_int("n", n)
     two_n = 2 * n
     bipartite = MatrixTemplateFamily(
         4 * n, ((two_n, ParameterMatrix(((0, two_n), (two_n, 0)))),)

@@ -35,6 +35,7 @@ from .perfection import (
 from .constructors import path_colorings
 from .enumeration import (
     EnumerationResult,
+    check_word_budget,
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
 )
@@ -114,9 +115,12 @@ def build_induced_set(n: int, k: int, word_budget: int | None = None) -> Induced
     union of full color orbits.  Each entry's matrix is the one the finite
     search found for a pulled-back coloring, or a template's matrix
     conjugated by the recoloring; check_perfect runs once per template.
+    The word budget is checked against the largest order, 4n+2, before any
+    finite search runs.
     """
     require_positive_int("k", k)
     dset = make_odd_distance_set(n)
+    check_word_budget(4 * n + 2, k, word_budget)
     found: dict[tuple[int, ...], tuple[PeriodicColoring, ParameterMatrix, set[str]]] = {}
 
     def add(word: tuple[int, ...], matrix: ParameterMatrix, tag: str):
@@ -214,10 +218,11 @@ def check_conjecture(
     Same comparison as the 2-color check but over every k x k candidate
     matrix that candidate_matrices keeps.  A "counterexample" verdict lists
     the colorings the candidate list fails to produce; it is reported, never
-    asserted away.
+    asserted away.  The candidate list is built first, so a word budget it
+    exceeds is reported before the periodic search runs.
     """
-    enumerated = enumerate_periodic_perfect(n, k, state_budget=state_budget)
     induced = build_induced_set(n, k, word_budget=word_budget)
+    enumerated = enumerate_periodic_perfect(n, k, state_budget=state_budget)
     return _compare(n, k, enumerated, induced)
 
 

@@ -1,18 +1,21 @@
 """Shared fixtures and independent oracles.
 
 The oracles here recompute adjacency and perfection from first principles
-(explicit edge lists, raw product-space scans) so the package's own counting
-paths are never used to validate themselves.
+(explicit edge lists, raw product-space scans), or run the unpruned scan a
+pruned search replaces, so no search is validated by its own shortcuts.
 """
 
+import functools
 import itertools
 
 import pytest
 
 from circulant_colorings import (
     EnumerationResult,
+    FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    check_perfect,
     enumerate_periodic_perfect,
     window_is_consistent,
 )
@@ -53,6 +56,63 @@ def brute_perfect_words(t, distances, k):
         for word in itertools.product(range(1, k + 1), repeat=t)
         if len(set(word)) == k and oracle_is_perfect(word, adj, k)
     }
+
+
+@functools.cache
+def _scanned_perfect_classes(t, dset, k):
+    """(class word, matrix) of every perfect color-class partition, by a full scan.
+
+    Every restricted growth string of length t with exactly k classes (colors
+    1..k in order of first use) gets one check_perfect, with no pruning.
+    """
+
+    def growth_strings(prefix, used):
+        if k - used > t - len(prefix):
+            return
+        if len(prefix) == t:
+            yield prefix
+            return
+        for c in range(1, min(used + 1, k) + 1):
+            yield from growth_strings(prefix + (c,), max(used, c))
+
+    classes = []
+    for base in growth_strings((), 0):
+        verdict = check_perfect(FiniteColoring(base, k), dset)
+        if verdict.is_perfect:
+            classes.append((base, verdict.matrix))
+    return tuple(classes)
+
+
+def scan_perfect_finite(
+    t, dset, k, *, rotation=False, reflection=False, color_permutation=False
+):
+    """Perfect k-colorings of Ci_t(D) from the full partition scan.
+
+    Each perfect class is expanded through the k! labelings, each reduced to
+    its least rotation/reflection image (least over the whole class with
+    color_permutation) and given the class matrix relabeled; the first
+    labeling to reach an image keeps it.
+    """
+
+    def least_image(word):
+        images = [word[i:] + word[:i] for i in range(len(word))] if rotation else [word]
+        if reflection:
+            images += [w[::-1] for w in images]
+        return min(images)
+
+    found = {}
+    for base, matrix in _scanned_perfect_classes(t, dset, k):
+        images = {}
+        for target in itertools.permutations(range(1, k + 1)):
+            image = least_image(tuple(target[c - 1] for c in base))
+            images.setdefault(image, target)
+        if color_permutation:
+            least = min(images)
+            images = {least: images[least]}
+        for image, target in images.items():
+            if image not in found:
+                found[image] = matrix.relabeled(target)
+    return EnumerationResult(tuple((FiniteColoring(w, k), found[w]) for w in sorted(found)))
 
 
 def consistent_windows(automaton):

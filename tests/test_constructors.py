@@ -70,6 +70,9 @@ class TestConstruct4n:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             construct_4n(2, 2, (1, 2), (1, 2, 1, 2))
+        for n in (True, 0, 1.0):
+            with pytest.raises(ValueError):
+                construct_4n(n, 2, (1, 2), (2, 1))
 
     def test_rejects_unbalanced_overlap(self):
         # color 1 on both sides with different multiplicities
@@ -177,6 +180,9 @@ class TestDriverCompleteness:
             all_matched_colorings(2, 8, 2)
         with pytest.raises(ValueError):
             all_matched_colorings(0, 2, 3)
+        for n in (True, 1.0):
+            with pytest.raises(ValueError):
+                all_matched_colorings(n, 2, 2)
         split = ColorSplit(2, frozenset({1, 2}), (), ())
         msplit = MatchingSplit(monochrome=((0, 1), (1, 1), (2, 2), (3, 2)))
         with pytest.raises(ValueError):

@@ -189,6 +189,11 @@ class TestCovering:
         assert covering_reduction(7, 6) == 1
         assert covering_reduction(-1, 6) == 5
 
+    def test_reduction_rejects_non_integer_order(self):
+        for i, t in ((5, True), (7, 2.5), (7, 0), (7, 6.0)):
+            with pytest.raises(ValueError):
+                covering_reduction(i, t)
+
     def test_reduction_preserves_adjacency_counts(self):
         for t in (2, 4, 6, 8, 10):
             assert verify_covering(DistanceSet((1, 3)), t)

@@ -18,6 +18,7 @@ from circulant_colorings import (
     check_perfect,
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
+    make_odd_distance_set,
     step_window,
     surjective_word_count,
     window_is_consistent,
@@ -35,11 +36,27 @@ from conftest import (
     all_row_sum_matrices,
     brute_perfect_words,
     consistent_windows,
+    scan_perfect_finite,
     table_periodic_search,
 )
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
+
+# Distance sets for the finite differential tests: odd and continuous, with
+# even distances, and long enough that small orders get multiedges and loops.
+FINITE_DISTANCES = ((1,), (1, 3), (1, 3, 5), (1, 2), (2, 5), (1, 4, 6), (1, 3, 5, 7))
+FLAG_SETTINGS = tuple(itertools.product((False, True), repeat=3))
+
+
+def _finite_cases(max_onto=300_000):
+    """(t, k) with t = 1..12, k = 1..4 and between 1 and max_onto onto colorings."""
+    return [
+        (t, k)
+        for t in range(1, 13)
+        for k in range(1, 5)
+        if 0 < surjective_word_count(t, k) <= max_onto
+    ]
 
 
 class TestCanonicalForm:
@@ -88,11 +105,50 @@ class TestEnumeratePerfectFinite:
             result = enumerate_perfect_finite(t, DistanceSet(dists), k)
             assert result.words() == brute_perfect_words(t, dists, k), (t, dists, k)
 
+    @pytest.mark.parametrize("dists", FINITE_DISTANCES)
+    def test_matches_partition_scan(self, dists):
+        # the pruned depth-first search against the unpruned scan, entries
+        # and matrices, on every small order including multiedges and loops
+        dset = DistanceSet(dists)
+        for t, k in _finite_cases():
+            result = enumerate_perfect_finite(t, dset, k)
+            assert result.entries == scan_perfect_finite(t, dset, k).entries, (t, k)
+            stats = result.stats
+            assert stats["classes_examined"] == stats["perfect_classes"], (t, k)
+
+    def test_random_cases_all_flags(self):
+        rng = random.Random(20261018)
+        cases = _finite_cases()
+        for _ in range(12):
+            t, k = rng.choice(cases)
+            dists = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 4))))
+            dset = DistanceSet(dists)
+            for rotation, reflection, colors in FLAG_SETTINGS:
+                flags = dict(rotation=rotation, reflection=reflection, color_permutation=colors)
+                result = enumerate_perfect_finite(t, dset, k, **flags)
+                oracle = scan_perfect_finite(t, dset, k, **flags)
+                assert result.entries == oracle.entries, (t, dists, k, flags)
+
+    def test_pruning_stats(self):
+        result = enumerate_perfect_finite(14, make_odd_distance_set(3), 3)
+        stats = result.stats
+        assert set(stats) == {
+            "classes_examined", "perfect_classes", "colorings",
+            "nodes_visited", "pruned_closed", "pruned_bound",
+        }
+        # the scan checked all 788,970 partitions; the search reaches only
+        # the 497 perfect ones, and both rules cut
+        assert stats["classes_examined"] == stats["perfect_classes"] == 497
+        assert stats["colorings"] == len(result.entries) == 2982
+        assert stats["nodes_visited"] < 400_000
+        assert stats["pruned_closed"] > 0 and stats["pruned_bound"] > 0
+        assert enumerate_perfect_finite(8, D2, 2).stats["classes_examined"] > 0
+
     def test_matrices_attached(self):
         # Matrices are derived by relabeling, never re-checked: check_perfect
         # is the oracle here, for every combination of symmetry flags.
         for t, k in ((6, 2), (8, 3), (8, 4)):
-            for flags in itertools.product((False, True), repeat=3):
+            for flags in FLAG_SETTINGS:
                 rotation, reflection, colors = flags
                 result = enumerate_perfect_finite(
                     t, D2, k, rotation=rotation, reflection=reflection, color_permutation=colors

@@ -168,6 +168,11 @@ class TestAdmissibleTemplates:
         seen = [m for f in fams for m in f.matrices()]
         assert len(seen) == len(set(seen)) == 10
 
+    def test_rejects_non_integer_n(self):
+        for n in (True, 0, 2.0):
+            with pytest.raises(ValueError):
+                admissible_matrix_templates(n)
+
 
 class TestLocalPatterns:
     def test_holds_on_exhaustive_enumeration(self, periodic_k2):

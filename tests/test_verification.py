@@ -3,6 +3,7 @@
 import pytest
 
 from circulant_colorings import (
+    BudgetExceededError,
     DistanceSet,
     FiniteColoring,
     PeriodicColoring,
@@ -15,6 +16,7 @@ from circulant_colorings import (
     make_odd_distance_set,
     structural_regression_suite,
 )
+from circulant_colorings import verification
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
@@ -99,6 +101,18 @@ class TestCompletenessChecks:
         assert report.counts["enumerated"] == 14
         # every perfect coloring here comes from the path family
         assert report.counts["from_path"] == 14
+
+    def test_word_budget_fails_before_any_search(self, monkeypatch):
+        # (3, 4): 249,401,880 onto words at t = 14 against the default 2**27
+        def searched(*args, **kwargs):
+            raise AssertionError("a search ran before the word budget check")
+
+        monkeypatch.setattr(verification, "enumerate_periodic_perfect", searched)
+        monkeypatch.setattr(verification, "enumerate_perfect_finite", searched)
+        with pytest.raises(BudgetExceededError):
+            check_conjecture(3, 4)
+        with pytest.raises(BudgetExceededError):
+            build_induced_set(1, 2, word_budget=61)
 
     def test_report_json_shape(self):
         data = check_theorem_k2(1).to_json()
