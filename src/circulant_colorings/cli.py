@@ -13,6 +13,7 @@ import sys
 import time
 
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DistanceSet,
     FiniteCirculant,
@@ -157,7 +158,7 @@ def _cmd_enumerate(args) -> int:
         if args.n is None:
             raise UsageError("--infinite enumeration needs --n")
         dset = make_odd_distance_set(args.n)
-        result = enumerate_periodic_perfect(args.n, args.k, state_budget=args.budget_states)
+        result = enumerate_periodic_perfect(args.n, args.k, budget=args.budget)
         # Period words are rotation classes already; only extra symmetries fold.
         _, reflection, colors = _parse_symmetry(args.symmetry, "rotation,colors")
         reps = {
@@ -182,7 +183,7 @@ def _cmd_enumerate(args) -> int:
             rotation=rotation,
             reflection=reflection,
             color_permutation=colors,
-            word_budget=args.budget_words,
+            budget=args.budget,
         )
         entries = list(result.entries)
     _emit(_entry_lines(entries, dset, args.format), args)
@@ -202,7 +203,7 @@ def _cmd_construct(args) -> int:
         if args.n is None:
             raise UsageError("--family balanced needs --n")
         dset = make_odd_distance_set(args.n)
-        colorings = all_4n_colorings(args.n, args.k, word_budget=args.budget_words)
+        colorings = all_4n_colorings(args.n, args.k, budget=args.budget)
     elif args.family == "matched":
         if args.n is None or args.t is None:
             raise UsageError("--family matched needs --n and --t")
@@ -247,15 +248,11 @@ def _cmd_check(args) -> int:
         raise UsageError("check needs --n")
     started = time.perf_counter()
     if args.theorem_k2:
-        report = check_theorem_k2(
-            args.n, state_budget=args.budget_states, word_budget=args.budget_words
-        )
+        report = check_theorem_k2(args.n, budget=args.budget)
     else:
         if args.k is None:
             raise UsageError("check needs --k (or --theorem-k2)")
-        report = check_conjecture(
-            args.n, args.k, state_budget=args.budget_states, word_budget=args.budget_words
-        )
+        report = check_conjecture(args.n, args.k, budget=args.budget)
     elapsed = time.perf_counter() - started
     _emit(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n", args)
     print(
@@ -290,13 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--out", default=None, help="write data output to this file")
     common.add_argument(
-        "--budget-states",
+        "--budget",
         type=int,
         default=None,
-        help="cap on the start windows walked and on the candidate matrices generated",
-    )
-    common.add_argument(
-        "--budget-words", type=int, default=None, help="cap on candidate words searched"
+        help=f"work cap for each search (default {DEFAULT_BUDGET}): vertices colored plus "
+        "k! per perfect partition (finite), start windows and matrices generated "
+        "(infinite), part-word pairs (construct --family balanced)",
     )
 
     parser = argparse.ArgumentParser(

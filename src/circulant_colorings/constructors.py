@@ -24,8 +24,8 @@ from .core import (
     FiniteColoring,
     PeriodicColoring,
     require_positive_int,
+    resolve_budget,
 )
-from .enumeration import DEFAULT_WORD_BUDGET
 
 
 def path_colorings(k: int) -> tuple[PeriodicColoring, ...]:
@@ -285,12 +285,15 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
     return tuple(found[w] for w in sorted(found))
 
 
-def all_4n_colorings(n: int, k: int, word_budget: int | None = None) -> tuple[FiniteColoring, ...]:
-    """Every perfect k-coloring of Ci_{4n}(D_n), via all valid part-word pairs."""
-    budget = DEFAULT_WORD_BUDGET if word_budget is None else word_budget
+def all_4n_colorings(n: int, k: int, budget: int | None = None) -> tuple[FiniteColoring, ...]:
+    """Every perfect k-coloring of Ci_{4n}(D_n), via all valid part-word pairs.
+
+    The budget caps the k^(4n) part-word pairs scanned, checked before the scan.
+    """
+    budget = resolve_budget(budget)
     if k ** (4 * n) > budget:
         raise BudgetExceededError(
-            f"part-word search space {k}^{4 * n} exceeds the budget of {budget}"
+            f"{k}^{4 * n} part-word pairs pass the budget of {budget}"
         )
     colors = range(1, k + 1)
     found: dict[tuple[int, ...], FiniteColoring] = {}

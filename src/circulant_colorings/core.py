@@ -24,8 +24,12 @@ Color = int
 ColorCounts = tuple[int, ...]
 
 
+# The one work budget every search takes; each counts its own unit of work.
+DEFAULT_BUDGET = 1 << 24
+
+
 class BudgetExceededError(RuntimeError):
-    """A search space is larger than the configured budget allows."""
+    """A search did more work than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -49,15 +53,19 @@ class DistanceSet:
     def __iter__(self):
         return iter(self.distances)
 
-    def is_odd_continuous(self) -> bool:
-        """True iff the set is exactly {1, 3, ..., 2n-1} where n is its size."""
-        return self.distances == tuple(range(1, 2 * len(self.distances), 2))
-
 
 def require_positive_int(name: str, value) -> None:
     """Raise ValueError unless value is an int >= 1 (True is not taken as 1)."""
     if type(value) is not int or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def resolve_budget(budget: int | None) -> int:
+    """DEFAULT_BUDGET for None; otherwise the budget, which must be an int >= 1."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    require_positive_int("budget", budget)
+    return budget
 
 
 def make_odd_distance_set(n: int) -> DistanceSet:
@@ -196,12 +204,6 @@ def neighbor_color_counts(
         counts[word[(v + d) % length] - 1] += 1
         counts[word[(v - d) % length] - 1] += 1
     return tuple(counts)
-
-
-def covering_reduction(i: int, t: int) -> int:
-    """Image of vertex i of the infinite graph in Ci_t, i.e. i mod t in 0..t-1."""
-    require_positive_int("order", t)
-    return i % t
 
 
 def verify_covering(dset: DistanceSet, t: int) -> bool:

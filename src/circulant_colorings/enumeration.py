@@ -15,6 +15,13 @@ matrix conjugated by the recoloring (ParameterMatrix.relabeled), and
 rotations and reflections are graph automorphisms, so an orbit
 representative keeps the matrix of the labeling it came from.
 
+Every search takes one budget (core.DEFAULT_BUDGET by default) and counts
+the work it does in its own unit, raising BudgetExceededError as soon as the
+count passes the budget: the finite search counts vertices colored plus k!
+per perfect partition expanded, candidate_matrices the support-symmetric
+matrices it generates, and the periodic search its start windows, whose
+number has a closed form and is checked before any walk.
+
 The infinite graphs Ci(D_n) are handled by a forced-extension recurrence.
 In Ci(D_n) the neighborhood of v is {v-2n+1, v-2n+3, ..., v+2n-1}, so
 
@@ -45,7 +52,7 @@ smaller window either dies or lies on a cycle whose least window is
 smaller than s and records it.  No visited set or path is kept, and the
 start windows are generated directly from the rows (every consistent
 window is a start), so memory is the output and the work is bounded by
-the closed-form number of starts, which the state budget caps.
+the closed-form number of starts, which the budget caps.
 
 Only matrices that some onto perfect coloring could have are searched.
 candidate_matrices keeps those that pass three necessary conditions, each
@@ -68,7 +75,7 @@ The stats key matrices_tried counts those orbit representatives.
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import gt
 
 from .core import (
@@ -80,11 +87,9 @@ from .core import (
     neighbor_offsets,
     primitive_period,
     require_positive_int,
+    resolve_budget,
 )
 from .perfection import check_perfect
-
-DEFAULT_WORD_BUDGET = 1 << 27
-DEFAULT_STATE_BUDGET = 1 << 24
 
 # A window of 4n-1 consecutive colors, the automaton's state.
 WindowState = tuple[int, ...]
@@ -98,9 +103,6 @@ class EnumerationResult:
 
     entries: tuple[Entry, ...]
     stats: dict = field(compare=False, default_factory=dict)
-
-    def colorings(self) -> tuple:
-        return tuple(c for c, _ in self.entries)
 
     def words(self) -> set[tuple[int, ...]]:
         return {c.word for c, _ in self.entries}
@@ -137,23 +139,7 @@ def canonical_form(
     return min(_orbit_words(word, rotation, reflection, color_permutation))
 
 
-def surjective_word_count(t: int, k: int) -> int:
-    """Number of onto colorings of t vertices with k labeled colors."""
-    return sum((-1) ** j * comb(k, j) * (k - j) ** t for j in range(k + 1))
-
-
-def check_word_budget(t: int, k: int, word_budget: int | None = None) -> None:
-    """Raise BudgetExceededError if Ci_t holds more onto k-colorings than the budget."""
-    budget = DEFAULT_WORD_BUDGET if word_budget is None else word_budget
-    candidates = surjective_word_count(t, k)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"search space k^t = {k}^{t} holds {candidates} onto colorings, "
-            f"exceeding the budget of {budget}"
-        )
-
-
-def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict):
+def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: int):
     """Depth-first search for the color-class partitions that can be perfect.
 
     Yields restricted growth strings (colors 1..k in order of first use,
@@ -181,6 +167,11 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict):
     every vertex has closed and matched its color's row, so every string
     yielded is a perfect partition.  stats gains nodes_visited (vertices
     colored), pruned_closed and pruned_bound (nodes each rule cut off).
+
+    Work is counted as it is spent: one unit per vertex colored and k! per
+    leaf, the labelings its partition expands into, so the count also
+    bounds the colorings the caller keeps.  BudgetExceededError is raised
+    as soon as the count passes the budget.
     """
     offsets = neighbor_offsets(dset, t)
     # seen_by[i]: the vertices whose neighborhood holds i, with multiplicity.
@@ -192,6 +183,16 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict):
     counts = [[0] * k for _ in range(t)]
     rows: list[list[int] | None] = [None] * k
     nodes = pruned_closed = pruned_bound = 0
+    # nodes may reach limit; each leaf lowers it by the k! labelings it expands into.
+    limit = budget
+    labelings = factorial(k)
+
+    def exceeded() -> BudgetExceededError:
+        spent = nodes + budget - limit
+        return BudgetExceededError(
+            f"finite search for t={t}, k={k} spent {spent} units (vertices colored "
+            f"plus k! per perfect partition), passing the budget of {budget}"
+        )
 
     def fits(i: int, color: int, fixed_here: list[int]) -> bool:
         """Whether both rules pass once vertex i has color; rows fixed go in fixed_here."""
@@ -222,8 +223,11 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict):
         return True
 
     def extend(i: int, used: int):
-        nonlocal nodes
+        nonlocal nodes, limit
         if i == t:
+            limit -= labelings
+            if nodes > limit:
+                raise exceeded()
             yield tuple(c + 1 for c in word)
             return
         for color in range(min(used + 1, k)):
@@ -231,6 +235,8 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict):
             if k - now_used > t - i - 1:
                 continue
             nodes += 1
+            if nodes > limit:
+                raise exceeded()
             word[i] = color
             for u in seen_by[i]:
                 counts[u][color] += 1
@@ -256,7 +262,7 @@ def enumerate_perfect_finite(
     rotation: bool = False,
     reflection: bool = False,
     color_permutation: bool = False,
-    word_budget: int | None = None,
+    budget: int | None = None,
 ) -> EnumerationResult:
     """All perfect k-colorings of Ci_t(D), optionally reduced modulo symmetry.
 
@@ -265,9 +271,10 @@ def enumerate_perfect_finite(
     _perfect_partitions as neighborhoods close; each partition that survives
     to a leaf is checked once with check_perfect, whose verdict decides it
     and whose matrix, relabeled, every coloring reported carries.  The
-    budget bounds the number of labeled colorings the search could emit
-    (k^t words in the worst case, of which only the onto ones are
-    candidates) and is checked before the search.
+    budget caps the work as the search does it: one unit per vertex colored
+    (nodes_visited) plus k! per perfect partition expanded, which is at
+    least the number of labeled colorings kept, so it bounds memory too.
+    BudgetExceededError is raised as soon as that count passes the budget.
 
     stats:
       classes_examined -- leaves reached, one check_perfect each;
@@ -280,10 +287,10 @@ def enumerate_perfect_finite(
     """
     require_positive_int("t", t)
     require_positive_int("k", k)
-    check_word_budget(t, k, word_budget)
+    budget = resolve_budget(budget)
     found: dict[tuple[int, ...], ParameterMatrix] = {}
     stats = {"classes_examined": 0, "perfect_classes": 0}
-    for base in _perfect_partitions(t, dset, k, stats):
+    for base in _perfect_partitions(t, dset, k, stats, budget):
         stats["classes_examined"] += 1
         verdict = check_perfect(FiniteColoring(base, k), dset)
         if not verdict.is_perfect:
@@ -414,7 +421,7 @@ def _has_parity_split(rows: tuple[tuple[int, ...], ...]) -> bool:
 
 
 def candidate_matrices(
-    n: int, k: int, matrix_budget: int | None = None
+    n: int, k: int, budget: int | None = None
 ) -> tuple[ParameterMatrix, ...]:
     """Parameter matrices worth searching for Ci(D_n) with k colors.
 
@@ -449,13 +456,13 @@ def candidate_matrices(
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
-    budget = DEFAULT_STATE_BUDGET if matrix_budget is None else matrix_budget
+    budget = resolve_budget(budget)
     kept = []
     for generated, rows in enumerate(_support_symmetric(n, k), 1):
         if generated > budget:
             raise BudgetExceededError(
-                f"more than {budget} support-symmetric matrices for n={n}, k={k} "
-                f"exceed the budget"
+                f"{generated} support-symmetric matrices generated for n={n}, k={k} "
+                f"pass the budget of {budget}"
             )
         if _is_balanced(rows) and _has_parity_split(rows):
             kept.append(ParameterMatrix(rows))
@@ -629,7 +636,7 @@ def enumerate_periodic_perfect(
     n: int,
     k: int,
     matrices: tuple[ParameterMatrix, ...] | None = None,
-    state_budget: int | None = None,
+    budget: int | None = None,
 ) -> EnumerationResult:
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
@@ -648,15 +655,15 @@ def enumerate_periodic_perfect(
     onto cycle is reported under every recoloring whose image matrix is one
     of the given matrices, carrying that matrix object; caller-given
     matrices therefore restrict the output exactly as a search of each of
-    them would.  The state budget caps the closed-form number of start
-    windows, sum over a, b of multinomial(2n-1; r_a - e_b) *
-    multinomial(2n-1; r_b - e_a) over the searched matrices, checked before
-    any walk, and, through candidate_matrices, the matrices generated;
+    them would.  The budget caps the closed-form number of start windows,
+    sum over a, b of multinomial(2n-1; r_a - e_b) * multinomial(2n-1;
+    r_b - e_a) over the searched matrices, checked before any walk, and,
+    through candidate_matrices, the matrices generated;
     matrices given by the caller must be k x k with every row summing to 2n.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
-    budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
+    budget = resolve_budget(budget)
     if matrices is None:
         matrices = candidate_matrices(n, k, budget)
     else:

@@ -35,7 +35,6 @@ from .perfection import (
 from .constructors import path_colorings
 from .enumeration import (
     EnumerationResult,
-    check_word_budget,
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
 )
@@ -107,7 +106,7 @@ class InducedSet:
         return counts
 
 
-def build_induced_set(n: int, k: int, word_budget: int | None = None) -> InducedSet:
+def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
     """Candidate colorings of Ci(D_n): pullbacks from orders 4n-2, 4n, 4n+2
     plus the diagonal-path family, deduplicated with source tags merged.
 
@@ -115,12 +114,11 @@ def build_induced_set(n: int, k: int, word_budget: int | None = None) -> Induced
     union of full color orbits.  Each entry's matrix is the one the finite
     search found for a pulled-back coloring, or a template's matrix
     conjugated by the recoloring; check_perfect runs once per template.
-    The word budget is checked against the largest order, 4n+2, before any
-    finite search runs.
+    Each of the three finite searches gets the budget and counts its own
+    work against it (see enumerate_perfect_finite).
     """
     require_positive_int("k", k)
     dset = make_odd_distance_set(n)
-    check_word_budget(4 * n + 2, k, word_budget)
     found: dict[tuple[int, ...], tuple[PeriodicColoring, ParameterMatrix, set[str]]] = {}
 
     def add(word: tuple[int, ...], matrix: ParameterMatrix, tag: str):
@@ -132,7 +130,7 @@ def build_induced_set(n: int, k: int, word_budget: int | None = None) -> Induced
         (4 * n, TAG_4N),
         (4 * n + 2, TAG_4N_PLUS_2),
     ):
-        result = enumerate_perfect_finite(t, dset, k, word_budget=word_budget)
+        result = enumerate_perfect_finite(t, dset, k, budget=budget)
         for finite, matrix in result.entries:
             add(finite.word, matrix, tag)
     for template in path_colorings(k):
@@ -193,36 +191,28 @@ def _compare(
     return CheckReport(n, k, verdict, missing, extra, counts)
 
 
-def check_theorem_k2(
-    n: int,
-    state_budget: int | None = None,
-    word_budget: int | None = None,
-) -> CheckReport:
+def check_theorem_k2(n: int, budget: int | None = None) -> CheckReport:
     """Confirm that every perfect 2-coloring of Ci(D_n) is induced.
 
     Exhausts the infinite graph over the admissible 2 x 2 matrices and
     compares against the candidate list; verdict is "confirmed" when no
     enumerated coloring is missing from it.
     """
-    return check_conjecture(n, 2, state_budget, word_budget)
+    return check_conjecture(n, 2, budget)
 
 
-def check_conjecture(
-    n: int,
-    k: int,
-    state_budget: int | None = None,
-    word_budget: int | None = None,
-) -> CheckReport:
+def check_conjecture(n: int, k: int, budget: int | None = None) -> CheckReport:
     """Test whether every perfect k-coloring of Ci(D_n) is induced.
 
     Same comparison as the 2-color check but over every k x k candidate
     matrix that candidate_matrices keeps.  A "counterexample" verdict lists
     the colorings the candidate list fails to produce; it is reported, never
-    asserted away.  The candidate list is built first, so a word budget it
-    exceeds is reported before the periodic search runs.
+    asserted away.  The one budget goes to every search it runs: the three
+    finite searches of the candidate list and the periodic search, each
+    counting its own work against it.
     """
-    induced = build_induced_set(n, k, word_budget=word_budget)
-    enumerated = enumerate_periodic_perfect(n, k, state_budget=state_budget)
+    induced = build_induced_set(n, k, budget=budget)
+    enumerated = enumerate_periodic_perfect(n, k, budget=budget)
     return _compare(n, k, enumerated, induced)
 
 
@@ -248,7 +238,7 @@ class RegressionReport:
         }
 
 
-def structural_regression_suite(n: int, state_budget: int | None = None) -> RegressionReport:
+def structural_regression_suite(n: int, budget: int | None = None) -> RegressionReport:
     """Re-derive the structural facts about perfect 2-colorings of Ci(D_n).
 
     Every claim is checked against every coloring found by exhaustive search,
@@ -258,7 +248,7 @@ def structural_regression_suite(n: int, state_budget: int | None = None) -> Regr
     of even period balance their colors across the two parities.
     """
     dset = make_odd_distance_set(n)
-    result = enumerate_periodic_perfect(n, 2, state_budget=state_budget)
+    result = enumerate_periodic_perfect(n, 2, budget=budget)
     allowed_sums = {4 * n, 2 * n, 2 * n + 1, 2 * n - 1}
     checks = {
         "outer_degree_sums": True,

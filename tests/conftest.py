@@ -7,6 +7,7 @@ pruned search replaces, so no search is validated by its own shortcuts.
 
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -19,6 +20,11 @@ from circulant_colorings import (
     enumerate_periodic_perfect,
     window_is_consistent,
 )
+
+
+def surjective_word_count(t, k):
+    """Number of onto colorings of t vertices with k labeled colors."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** t for j in range(k + 1))
 
 
 def edge_multiset_adjacency(t, distances):

@@ -34,9 +34,9 @@ from circulant_colorings import (
     outer_degrees,
     path_colorings,
     step_window,
-    surjective_word_count,
     two_color_cases,
 )
+from conftest import surjective_word_count
 
 GOLDEN = Path(__file__).parent / "golden"
 D2 = DistanceSet((1, 3))

@@ -123,12 +123,21 @@ class TestEnumerate:
         )
         assert code == 2
 
-    def test_budget_exceeded_exits_two(self, tmp_path):
-        code, _ = run(
-            tmp_path, "enumerate", "--t", "30", "--distances", "1", "--k", "2",
-            "--budget-words", "100",
-        )
-        assert code == 2
+    def test_budget_exceeded_exits_two(self, tmp_path, capsys):
+        args = ("enumerate", "--t", "30", "--distances", "1", "--k", "2")
+        # 376 vertices colored plus 2! for each of 4 perfect partitions
+        code, text = run(tmp_path, *args)
+        assert code == 0 and len(text.splitlines()) == 8
+        assert run(tmp_path, *args, "--budget", "384")[0] == 0
+        capsys.readouterr()
+        assert run(tmp_path, *args, "--budget", "100")[0] == 2
+        assert "resource limit:" in capsys.readouterr().err
+        for budget in ("0", "-3"):
+            assert run(tmp_path, *args, "--budget", budget)[0] == 2
+            assert "invalid input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--budget-words", "100"])
+        assert exc.value.code == 2
 
     def test_byte_identical_runs(self, tmp_path):
         _, a = run(tmp_path, "enumerate", "--t", "8", "--distances", "1,3", "--k", "2")

@@ -159,7 +159,17 @@ class TestDriverCompleteness:
 
     def test_balanced_driver_budget(self):
         with pytest.raises(BudgetExceededError):
-            all_4n_colorings(4, 3, word_budget=100)
+            all_4n_colorings(4, 3, budget=100)
+        # the budget counts the k^(4n) part-word pairs: 2^4 at (1, 2)
+        assert len(all_4n_colorings(1, 2, budget=16)) == len(all_4n_colorings(1, 2))
+        with pytest.raises(BudgetExceededError):
+            all_4n_colorings(1, 2, budget=15)
+        # 3^16 pairs pass the default of 2^24
+        with pytest.raises(BudgetExceededError):
+            all_4n_colorings(4, 3)
+        for budget in (2.5, True, 0, -1, "x"):
+            with pytest.raises(ValueError):
+                all_4n_colorings(1, 2, budget=budget)
 
     def test_matched_driver_doubled_edge(self):
         built = {c.word for c in all_matched_colorings(1, 2, 2)}

@@ -11,7 +11,6 @@ from circulant_colorings import (
     PeriodicColoring,
     coloring_from_json,
     coloring_to_json,
-    covering_reduction,
     least_rotation,
     make_odd_distance_set,
     neighbor_color_counts,
@@ -45,13 +44,6 @@ class TestDistanceSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DistanceSet(())
-
-    def test_odd_continuous(self):
-        assert DistanceSet((1,)).is_odd_continuous()
-        assert DistanceSet((1, 3, 5)).is_odd_continuous()
-        assert not DistanceSet((1, 5)).is_odd_continuous()
-        assert not DistanceSet((3,)).is_odd_continuous()
-        assert not DistanceSet((1, 2)).is_odd_continuous()
 
     def test_make_odd_distance_set(self):
         assert make_odd_distance_set(1).distances == (1,)
@@ -185,15 +177,6 @@ class TestNeighborColorCounts:
 
 
 class TestCovering:
-    def test_reduction(self):
-        assert covering_reduction(7, 6) == 1
-        assert covering_reduction(-1, 6) == 5
-
-    def test_reduction_rejects_non_integer_order(self):
-        for i, t in ((5, True), (7, 2.5), (7, 0), (7, 6.0)):
-            with pytest.raises(ValueError):
-                covering_reduction(i, t)
-
     def test_reduction_preserves_adjacency_counts(self):
         for t in (2, 4, 6, 8, 10):
             assert verify_covering(DistanceSet((1, 3)), t)

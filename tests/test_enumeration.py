@@ -20,7 +20,6 @@ from circulant_colorings import (
     enumerate_periodic_perfect,
     make_odd_distance_set,
     step_window,
-    surjective_word_count,
     window_is_consistent,
 )
 from circulant_colorings.enumeration import (
@@ -37,6 +36,7 @@ from conftest import (
     brute_perfect_words,
     consistent_windows,
     scan_perfect_finite,
+    surjective_word_count,
     table_periodic_search,
 )
 
@@ -47,6 +47,8 @@ D2 = DistanceSet((1, 3))
 # even distances, and long enough that small orders get multiedges and loops.
 FINITE_DISTANCES = ((1,), (1, 3), (1, 3, 5), (1, 2), (2, 5), (1, 4, 6), (1, 3, 5, 7))
 FLAG_SETTINGS = tuple(itertools.product((False, True), repeat=3))
+# Budgets that are not an int >= 1 (a float, a bool, zero, negative, a string).
+BAD_BUDGETS = (2.5, True, 0, -1, "x")
 
 
 def _finite_cases(max_onto=300_000):
@@ -172,8 +174,20 @@ class TestEnumeratePerfectFinite:
         assert reduced.words() == folded
 
     def test_budget_guard(self):
+        # the budget counts vertices colored plus k! per perfect partition,
+        # 97,750 + 3! * 497 at (14, D_3, 3): the search passes at that count
+        # and stops one below it
+        dset = make_odd_distance_set(3)
+        assert len(enumerate_perfect_finite(14, dset, 3, budget=100_732).entries) == 2982
+        with pytest.raises(BudgetExceededError, match="spent 100732 units"):
+            enumerate_perfect_finite(14, dset, 3, budget=100_731)
+        # 2**30 - 2 onto words, but 376 nodes + 2! * 4 perfect partitions
+        assert len(enumerate_perfect_finite(30, D1, 2).entries) == 8
         with pytest.raises(BudgetExceededError):
-            enumerate_perfect_finite(30, D1, 2, word_budget=1000)
+            enumerate_perfect_finite(30, D1, 2, budget=383)
+        for budget in BAD_BUDGETS:
+            with pytest.raises(ValueError):
+                enumerate_perfect_finite(4, D1, 2, budget=budget)
         for t, dset, k in ((0, D1, 1), (3, D1, 0), (6.0, D2, 2), (True, D1, 1), (4, D1, True)):
             with pytest.raises(ValueError):
                 enumerate_perfect_finite(t, dset, k)
@@ -236,11 +250,14 @@ class TestCandidateMatrices:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            candidate_matrices(4, 4, matrix_budget=10)
+            candidate_matrices(4, 4, budget=10)
         # the budget counts support-symmetric matrices generated: 26 at (1, 3)
-        assert len(candidate_matrices(1, 3, matrix_budget=26)) == 13
+        assert len(candidate_matrices(1, 3, budget=26)) == 13
         with pytest.raises(BudgetExceededError):
-            candidate_matrices(1, 3, matrix_budget=25)
+            candidate_matrices(1, 3, budget=25)
+        for budget in BAD_BUDGETS:
+            with pytest.raises(ValueError):
+                candidate_matrices(1, 2, budget=budget)
         for n, k in ((True, 3), (1, 2.0), (0, 2), (1, 0)):
             with pytest.raises(ValueError):
                 candidate_matrices(n, k)
@@ -406,18 +423,24 @@ class TestEnumeratePeriodicPerfect:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_periodic_perfect(3, 3, state_budget=1000)
+            enumerate_periodic_perfect(3, 3, budget=1000)
         # (2, 2): 17 matrices generated, 117 start windows over the 6 searched
-        assert len(enumerate_periodic_perfect(2, 2, state_budget=117).entries) == 18
+        assert len(enumerate_periodic_perfect(2, 2, budget=117).entries) == 18
         with pytest.raises(BudgetExceededError):
-            enumerate_periodic_perfect(2, 2, state_budget=116)
+            enumerate_periodic_perfect(2, 2, budget=116)
+        bipartite = (ParameterMatrix(((0, 2), (2, 0))),)
+        for budget in BAD_BUDGETS:
+            with pytest.raises(ValueError):
+                enumerate_periodic_perfect(1, 2, budget=budget)
+            with pytest.raises(ValueError):
+                enumerate_periodic_perfect(1, 2, matrices=bipartite, budget=budget)
 
     def test_budget_caps_candidate_matrices(self):
         # the 21 start windows of (1, 3) fit, but the 26 support-symmetric
         # matrices candidate_matrices generates do not
-        assert len(enumerate_periodic_perfect(1, 3, state_budget=26).entries) == 14
+        assert len(enumerate_periodic_perfect(1, 3, budget=26).entries) == 14
         with pytest.raises(BudgetExceededError):
-            enumerate_periodic_perfect(1, 3, state_budget=25)
+            enumerate_periodic_perfect(1, 3, budget=25)
 
     def test_rejects_invalid_matrices(self):
         with pytest.raises(ValueError):
@@ -463,5 +486,5 @@ class TestEnumerationResult:
 
     def test_accessors(self):
         result = enumerate_periodic_perfect(1, 2)
-        assert len(result.colorings()) == len(result.entries) == 4
-        assert result.words() == {c.word for c in result.colorings()}
+        assert len(result.words()) == len(result.entries) == 4
+        assert result.words() == {c.word for c, _ in result.entries}

@@ -12,6 +12,7 @@ from circulant_colorings import (
     check_perfect,
     check_theorem_k2,
     enumerate_perfect_finite,
+    enumerate_periodic_perfect,
     induce,
     make_odd_distance_set,
     structural_regression_suite,
@@ -102,17 +103,34 @@ class TestCompletenessChecks:
         # every perfect coloring here comes from the path family
         assert report.counts["from_path"] == 14
 
-    def test_word_budget_fails_before_any_search(self, monkeypatch):
-        # (3, 4): 249,401,880 onto words at t = 14 against the default 2**27
-        def searched(*args, **kwargs):
-            raise AssertionError("a search ran before the word budget check")
+    def test_one_budget_reaches_every_search(self, monkeypatch):
+        received = []
 
-        monkeypatch.setattr(verification, "enumerate_periodic_perfect", searched)
-        monkeypatch.setattr(verification, "enumerate_perfect_finite", searched)
+        def recording(search):
+            def wrapper(*args, **kwargs):
+                received.append((search.__name__, kwargs["budget"]))
+                return search(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            verification, "enumerate_perfect_finite", recording(enumerate_perfect_finite)
+        )
+        monkeypatch.setattr(
+            verification, "enumerate_periodic_perfect", recording(enumerate_periodic_perfect)
+        )
+        # three finite searches (t = 2, 4, 6) and one periodic search
+        expected = [("enumerate_perfect_finite", 1000)] * 3 + [("enumerate_periodic_perfect", 1000)]
+        assert check_conjecture(1, 2, budget=1000).confirmed
+        assert received == expected
+        received.clear()
+        assert check_theorem_k2(1, budget=1000).confirmed
+        assert received == expected
         with pytest.raises(BudgetExceededError):
-            check_conjecture(3, 4)
-        with pytest.raises(BudgetExceededError):
-            build_induced_set(1, 2, word_budget=61)
+            check_conjecture(1, 2, budget=5)
+        for budget in (2.5, True, 0, "x"):
+            with pytest.raises(ValueError):
+                check_conjecture(1, 2, budget=budget)
 
     def test_report_json_shape(self):
         data = check_theorem_k2(1).to_json()
