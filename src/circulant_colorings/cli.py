@@ -35,7 +35,7 @@ from .enumeration import (
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
 )
-from .verification import _pull_back, build_induced_set, check_conjecture, check_theorem_k2
+from .verification import _pull_back, check_conjecture, check_theorem_k2
 
 # Fixed fill palette for DOT output; colorings with more than 12 colors cycle.
 DOT_PALETTE = (

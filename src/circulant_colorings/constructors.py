@@ -36,8 +36,7 @@ def path_colorings(k: int) -> tuple[PeriodicColoring, ...]:
     Canonicalization may collapse templates (all four coincide at k = 1), so
     duplicates are removed.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_positive_int("k", k)
     descent = tuple(range(k, 1, -1))
     ascent = tuple(range(2, k))
     words = (
@@ -226,6 +225,7 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
     one edge.  Results are deduplicated as words.
     """
     n_edges = _matched_graph(n, t)
+    require_positive_int("k", k)
     colors = tuple(range(1, k + 1))
     found: dict[tuple[int, ...], FiniteColoring] = {}
 
@@ -290,6 +290,8 @@ def all_4n_colorings(n: int, k: int, budget: int | None = None) -> tuple[FiniteC
 
     The budget caps the k^(4n) part-word pairs scanned, checked before the scan.
     """
+    require_positive_int("n", n)
+    require_positive_int("k", k)
     budget = resolve_budget(budget)
     if k ** (4 * n) > budget:
         raise BudgetExceededError(
@@ -354,11 +356,13 @@ def count_nonbipartite_4n(n: int, k: int, counts: tuple[int, ...]) -> int:
     are never disjoint, and equal counts make every pair of part words
     balanced, hence perfect: the count is multinomial(2n; counts) squared.
     """
+    require_positive_int("n", n)
+    require_positive_int("k", k)
     counts = tuple(counts)
     if len(counts) != k:
         raise ValueError(f"expected {k} counts, got {len(counts)}")
-    if any(c < 0 for c in counts) or sum(counts) != 2 * n:
-        raise ValueError(f"counts must be nonnegative and sum to {2 * n}: {counts!r}")
+    if any(type(c) is not int or c < 0 for c in counts) or sum(counts) != 2 * n:
+        raise ValueError(f"counts must be nonnegative integers summing to {2 * n}: {counts!r}")
     if sum(1 for c in counts if c > 0) < 2:
         raise ValueError("at least two colors must be present")
     return (factorial(2 * n) // prod(map(factorial, counts))) ** 2

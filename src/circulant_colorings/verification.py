@@ -1,18 +1,19 @@
-"""Cross-checks between construction, induction, and exhaustive search.
+"""Which perfect colorings of Ci(D_n) are induced, decided by their period.
 
-A perfect coloring of the finite graph Ci_t(D) pulls back along the covering
-map i -> i mod t to a perfect coloring of the infinite graph Ci(D) with the
-same parameter matrix.  Running the known constructions on the three small
-orders 4n-2, 4n, 4n+2, pulling everything back, and adding the diagonal-path
-family yields a candidate list that exhaustive search over the infinite graph
-can be compared against: the comparison confirms (or refutes, with explicit
-missing colorings) that the candidate list is complete for given n and k.
+Covering lemma: the map i -> i mod t keeps neighbor counts, multiedges
+included, so a perfect coloring of Ci(D_n) with primitive period p is the
+pullback of a perfect coloring of Ci_t(D_n), with the same matrix, exactly
+when p divides t.  So "induced from Ci_{4n-2}, Ci_{4n} or Ci_{4n+2}" is a
+divisibility test on the period, and "from the path family" is membership
+among the recolorings of the path templates that check_perfect confirms.
 
-No candidate is checked twice: a pullback keeps the matrix the finite search
-attached to it, since the covering map preserves neighbor counts, and the
-path family's matrices are the path templates' matrices relabeled.
+check_conjecture tags each coloring of the one periodic search by that rule
+and runs no finite search.  build_induced_set takes the finite route: it
+searches the three orders and tags each pullback by the same rule, so it is
+the independent oracle the verdict path is tested against.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -33,16 +34,7 @@ from .perfection import (
     outer_degrees,
 )
 from .constructors import path_colorings
-from .enumeration import (
-    EnumerationResult,
-    enumerate_perfect_finite,
-    enumerate_periodic_perfect,
-)
-
-TAG_PATH = "from_path"
-TAG_4N_MINUS_2 = "from_4n-2"
-TAG_4N = "from_4n"
-TAG_4N_PLUS_2 = "from_4n+2"
+from .enumeration import Entry, enumerate_perfect_finite, enumerate_periodic_perfect
 
 
 def induce(coloring: FiniteColoring, dset: DistanceSet) -> PeriodicColoring:
@@ -72,9 +64,36 @@ def _pull_back(
     return PeriodicColoring(coloring.word, coloring.k), verdict.matrix
 
 
+def _finite_orders(n: int) -> tuple[tuple[int, str], ...]:
+    return ((4 * n - 2, "from_4n-2"), (4 * n, "from_4n"), (4 * n + 2, "from_4n+2"))
+
+
+def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], Entry]:
+    """Word -> (coloring, matrix) for each recoloring of every path template
+    check_perfect confirms on dset: one check per template, then relabeled."""
+    family: dict[tuple[int, ...], Entry] = {}
+    for template in path_colorings(k):
+        verdict = check_perfect(template, dset)
+        if not verdict.is_perfect:
+            continue
+        for target in permutations(range(1, k + 1)):
+            coloring = PeriodicColoring(tuple(target[c - 1] for c in template.word), k)
+            family.setdefault(coloring.word, (coloring, verdict.matrix.relabeled(target)))
+    return family
+
+
+def _tags(n: int, coloring: PeriodicColoring, path_words) -> list[str]:
+    """The sources a perfect coloring of Ci(D_n) is induced from, sorted:
+    each finite order its period divides, and the path family."""
+    tags = [tag for t, tag in _finite_orders(n) if t % coloring.period == 0]
+    if coloring.word in path_words:
+        tags.append("from_path")
+    return sorted(tags)
+
+
 @dataclass(frozen=True)
 class InducedEntry:
-    """One candidate periodic coloring with the finite orders that yield it."""
+    """One candidate periodic coloring with the sources that yield it."""
 
     coloring: PeriodicColoring
     matrix: ParameterMatrix
@@ -99,56 +118,39 @@ class InducedSet:
         return None
 
     def tag_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self.entries:
-            for tag in sorted(e.tags):
-                counts[tag] = counts.get(tag, 0) + 1
-        return counts
+        return dict(Counter(tag for e in self.entries for tag in sorted(e.tags)))
 
 
 def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
-    """Candidate colorings of Ci(D_n): pullbacks from orders 4n-2, 4n, 4n+2
-    plus the diagonal-path family, deduplicated with source tags merged.
+    """Candidate colorings of Ci(D_n) by the finite route: pullbacks of every
+    perfect coloring of Ci_t(D_n) for t = 4n-2, 4n, 4n+2, plus the path family.
 
-    The path family is every recoloring of the path templates, so it is a
-    union of full color orbits.  Each entry's matrix is the one the finite
-    search found for a pulled-back coloring, or a template's matrix
-    conjugated by the recoloring; check_perfect runs once per template.
-    Each of the three finite searches gets the budget and counts its own
-    work against it (see enumerate_perfect_finite).
+    Each is tagged by the shared rule (see the module docstring) and keeps
+    the matrix its finite search or path template supplied.  The budget goes
+    to each of the three finite searches, which count their own work
+    against it; each search's pullbacks are reduced to their words before
+    the next search runs.
     """
     require_positive_int("k", k)
     dset = make_odd_distance_set(n)
-    found: dict[tuple[int, ...], tuple[PeriodicColoring, ParameterMatrix, set[str]]] = {}
-
-    def add(word: tuple[int, ...], matrix: ParameterMatrix, tag: str):
-        coloring = PeriodicColoring(word, k)
-        found.setdefault(coloring.word, (coloring, matrix, set()))[2].add(tag)
-
-    for t, tag in (
-        (4 * n - 2, TAG_4N_MINUS_2),
-        (4 * n, TAG_4N),
-        (4 * n + 2, TAG_4N_PLUS_2),
-    ):
-        result = enumerate_perfect_finite(t, dset, k, budget=budget)
-        for finite, matrix in result.entries:
-            add(finite.word, matrix, tag)
-    for template in path_colorings(k):
-        matrix = check_perfect(template, dset).matrix
-        for target in permutations(range(1, k + 1)):
-            word = tuple(target[c - 1] for c in template.word)
-            add(word, matrix.relabeled(target), TAG_PATH)
-
+    found: dict[tuple[int, ...], Entry] = {}
+    for t, _ in _finite_orders(n):
+        for finite, matrix in enumerate_perfect_finite(t, dset, k, budget=budget).entries:
+            coloring = PeriodicColoring(finite.word, k)
+            found.setdefault(coloring.word, (coloring, matrix))
+    path = _path_family(dset, k)
+    for word, entry in path.items():
+        found.setdefault(word, entry)
     entries = tuple(
-        InducedEntry(coloring, matrix, frozenset(tags))
-        for _, (coloring, matrix, tags) in sorted(found.items())
+        InducedEntry(coloring, matrix, frozenset(_tags(n, coloring, path)))
+        for _, (coloring, matrix) in sorted(found.items())
     )
     return InducedSet(n, k, entries)
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of comparing exhaustive search against the candidate list."""
+    """Outcome of tagging every enumerated coloring by where it is induced from."""
 
     n: int
     k: int
@@ -172,48 +174,41 @@ class CheckReport:
         }
 
 
-def _compare(
-    n: int,
-    k: int,
-    enumerated: EnumerationResult,
-    induced: InducedSet,
-) -> CheckReport:
-    enumerated_words = enumerated.words()
-    induced_words = induced.words()
-    missing = tuple(sorted(enumerated_words - induced_words))
-    extra = tuple(sorted(induced_words - enumerated_words))
-    counts = {
-        "enumerated": len(enumerated_words),
-        "induced": len(induced_words),
-        **induced.tag_counts(),
-    }
-    verdict = "confirmed" if not missing else "counterexample"
-    return CheckReport(n, k, verdict, missing, extra, counts)
-
-
 def check_theorem_k2(n: int, budget: int | None = None) -> CheckReport:
-    """Confirm that every perfect 2-coloring of Ci(D_n) is induced.
-
-    Exhausts the infinite graph over the admissible 2 x 2 matrices and
-    compares against the candidate list; verdict is "confirmed" when no
-    enumerated coloring is missing from it.
-    """
+    """Confirm that every perfect 2-coloring of Ci(D_n) is induced:
+    check_conjecture at k = 2, one periodic search."""
     return check_conjecture(n, 2, budget)
 
 
 def check_conjecture(n: int, k: int, budget: int | None = None) -> CheckReport:
     """Test whether every perfect k-coloring of Ci(D_n) is induced.
 
-    Same comparison as the 2-color check but over every k x k candidate
-    matrix that candidate_matrices keeps.  A "counterexample" verdict lists
-    the colorings the candidate list fails to produce; it is reported, never
-    asserted away.  The one budget goes to every search it runs: the three
-    finite searches of the candidate list and the periodic search, each
-    counting its own work against it.
+    Runs one search, enumerate_periodic_perfect(n, k), which gets the
+    budget, and tags each coloring by the covering lemma (its period
+    divides 4n-2, 4n or 4n+2) and the path family, keeping only per-tag
+    counts; no finite search runs.  An untagged coloring goes to `missing`
+    and makes the verdict "counterexample", reported, never asserted away;
+    a confirmed path word the search did not return goes to
+    `induced_not_enumerated`.
     """
-    induced = build_induced_set(n, k, budget=budget)
     enumerated = enumerate_periodic_perfect(n, k, budget=budget)
-    return _compare(n, k, enumerated, induced)
+    path = _path_family(make_odd_distance_set(n), k)
+    unseen = set(path)
+    missing = []
+    tally: Counter[str] = Counter()
+    for coloring, _ in enumerated.entries:
+        unseen.discard(coloring.word)
+        tags = _tags(n, coloring, path)
+        tally.update(tags)
+        if not tags:
+            missing.append(coloring.word)
+    extra = tuple(sorted(unseen))
+    for word in extra:
+        tally.update(_tags(n, path[word][0], path))
+    induced = len(enumerated.entries) - len(missing) + len(extra)
+    counts = {"enumerated": len(enumerated.entries), "induced": induced, **tally}
+    verdict = "confirmed" if not missing else "counterexample"
+    return CheckReport(n, k, verdict, tuple(missing), extra, counts)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,16 @@ import math
 import pytest
 
 from circulant_colorings import (
+    CheckReport,
     EnumerationResult,
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
     check_perfect,
+    enumerate_perfect_finite,
     enumerate_periodic_perfect,
+    make_odd_distance_set,
+    path_colorings,
     window_is_consistent,
 )
 
@@ -193,6 +197,35 @@ def all_row_sum_matrices(n, k):
     """Every k x k nonnegative matrix with row sums 2n, unpruned, rows in lex order."""
     rows = [r for r in itertools.product(range(2 * n + 1), repeat=k) if sum(r) == 2 * n]
     return tuple(ParameterMatrix(combo) for combo in itertools.product(rows, repeat=k))
+
+
+def finite_route_report(n, k):
+    """The completeness report by the finite route, with no period rule.
+
+    Each perfect coloring of Ci_t(D_n), t = 4n-2, 4n, 4n+2, is pulled back
+    and tagged with the order whose search returned it; every recoloring of
+    a path template is tagged from_path.  The periodic search's words are
+    then compared against that candidate list, as check_conjecture did
+    before it tagged by period.
+    """
+    dset = make_odd_distance_set(n)
+    tags = {}
+    for t, tag in ((4 * n - 2, "from_4n-2"), (4 * n, "from_4n"), (4 * n + 2, "from_4n+2")):
+        for finite, _ in enumerate_perfect_finite(t, dset, k).entries:
+            tags.setdefault(PeriodicColoring(finite.word, k).word, set()).add(tag)
+    for template in path_colorings(k):
+        for target in itertools.permutations(range(1, k + 1)):
+            word = PeriodicColoring(tuple(target[c - 1] for c in template.word), k).word
+            tags.setdefault(word, set()).add("from_path")
+    enumerated = enumerate_periodic_perfect(n, k).words()
+    counts = {"enumerated": len(enumerated), "induced": len(tags)}
+    for word in sorted(tags):
+        for tag in sorted(tags[word]):
+            counts[tag] = counts.get(tag, 0) + 1
+    missing = tuple(sorted(enumerated - set(tags)))
+    extra = tuple(sorted(set(tags) - enumerated))
+    verdict = "confirmed" if not missing else "counterexample"
+    return CheckReport(n, k, verdict, missing, extra, counts)
 
 
 @pytest.fixture(scope="session")

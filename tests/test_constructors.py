@@ -48,8 +48,9 @@ class TestPathColorings:
                     assert check_perfect(c, dset).is_perfect, (k, n, c.word)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            path_colorings(0)
+        for k in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                path_colorings(k)
 
 
 class TestConstruct4n:
@@ -170,6 +171,9 @@ class TestDriverCompleteness:
         for budget in (2.5, True, 0, -1, "x"):
             with pytest.raises(ValueError):
                 all_4n_colorings(1, 2, budget=budget)
+        for n, k in ((0, 2), (1, 0), (1, 2.0), (True, 2)):
+            with pytest.raises(ValueError):
+                all_4n_colorings(n, k)
 
     def test_matched_driver_doubled_edge(self):
         built = {c.word for c in all_matched_colorings(1, 2, 2)}
@@ -193,6 +197,9 @@ class TestDriverCompleteness:
         for n in (True, 1.0):
             with pytest.raises(ValueError):
                 all_matched_colorings(n, 2, 2)
+        for n, t, k in ((1, 6, 0), (2, 10, -1), (1, 2, 2.0)):
+            with pytest.raises(ValueError):
+                all_matched_colorings(n, t, k)
         split = ColorSplit(2, frozenset({1, 2}), (), ())
         msplit = MatchingSplit(monochrome=((0, 1), (1, 1), (2, 2), (3, 2)))
         with pytest.raises(ValueError):
@@ -238,6 +245,9 @@ class TestNonBipartiteCount:
     def test_rejects_wrong_total(self):
         with pytest.raises(ValueError):
             count_nonbipartite_4n(2, 2, (1, 1))
+        for n, k, counts in ((1, 2, (True, True)), (1, 2, (1.0, 1)), (True, 2, (1, 1)), (1, 2.0, (1, 1))):
+            with pytest.raises(ValueError):
+                count_nonbipartite_4n(n, k, counts)
 
     def test_rejects_single_color(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from circulant_colorings import (
     BudgetExceededError,
     DistanceSet,
+    EnumerationResult,
     FiniteColoring,
     PeriodicColoring,
     build_induced_set,
@@ -17,10 +18,14 @@ from circulant_colorings import (
     make_odd_distance_set,
     structural_regression_suite,
 )
-from circulant_colorings import verification
+from circulant_colorings import cli, verification
+from conftest import finite_route_report
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
+
+# (n, k) small enough for the three finite searches of the finite route
+FINITE_ROUTE_SIZES = [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5)]
 
 
 class TestInduce:
@@ -119,18 +124,71 @@ class TestCompletenessChecks:
         monkeypatch.setattr(
             verification, "enumerate_periodic_perfect", recording(enumerate_periodic_perfect)
         )
-        # three finite searches (t = 2, 4, 6) and one periodic search
-        expected = [("enumerate_perfect_finite", 1000)] * 3 + [("enumerate_periodic_perfect", 1000)]
+        # the verdict path runs one periodic search and no finite search
         assert check_conjecture(1, 2, budget=1000).confirmed
-        assert received == expected
+        assert received == [("enumerate_periodic_perfect", 1000)]
         received.clear()
         assert check_theorem_k2(1, budget=1000).confirmed
-        assert received == expected
+        assert received == [("enumerate_periodic_perfect", 1000)]
+        received.clear()
+        # the finite route runs its three finite searches (t = 2, 4, 6)
+        build_induced_set(1, 2, budget=1000)
+        assert received == [("enumerate_perfect_finite", 1000)] * 3
         with pytest.raises(BudgetExceededError):
             check_conjecture(1, 2, budget=5)
         for budget in (2.5, True, 0, "x"):
             with pytest.raises(ValueError):
                 check_conjecture(1, 2, budget=budget)
+
+    @pytest.mark.parametrize("n, k", FINITE_ROUTE_SIZES)
+    def test_matches_finite_route(self, n, k):
+        assert check_conjecture(n, k).to_json() == finite_route_report(n, k).to_json()
+
+    @pytest.mark.parametrize("n, k", FINITE_ROUTE_SIZES)
+    def test_period_tags_match_induced_set(self, n, k):
+        # the shared rule on the periodic entries gives build_induced_set's
+        # words, matrices and tags
+        dset = make_odd_distance_set(n)
+        path = verification._path_family(dset, k)
+        tagged = []
+        for coloring, matrix in enumerate_periodic_perfect(n, k).entries:
+            tags = frozenset(verification._tags(n, coloring, path))
+            if tags:
+                tagged.append((coloring.word, matrix, tags))
+        induced = [(e.coloring.word, e.matrix, e.tags) for e in build_induced_set(n, k).entries]
+        assert tagged == induced
+
+    def test_counterexample_reported(self, monkeypatch, capsys):
+        search = enumerate_periodic_perfect
+        # period 5 divides none of 2, 4, 6, and no path word has it at k = 2
+        stray = PeriodicColoring((1, 1, 1, 2, 2), 2)
+
+        def with_stray(n, k, budget=None):
+            result = search(n, k, budget=budget)
+            return EnumerationResult(result.entries + ((stray, result.entries[0][1]),))
+
+        monkeypatch.setattr(verification, "enumerate_periodic_perfect", with_stray)
+        report = check_conjecture(1, 2)
+        assert report.verdict == "counterexample" and not report.confirmed
+        assert report.missing == (stray.word,)
+        assert report.induced_not_enumerated == ()
+        assert (report.counts["enumerated"], report.counts["induced"]) == (5, 4)
+        assert cli.main(["check", "--n", "1", "--k", "2"]) == 1
+        assert '"verdict": "counterexample"' in capsys.readouterr().out
+
+    def test_induced_not_enumerated_reported(self, monkeypatch):
+        search = enumerate_periodic_perfect
+
+        def without_112(n, k, budget=None):
+            entries = search(n, k, budget=budget).entries
+            return EnumerationResult(tuple(e for e in entries if e[0].word != (1, 1, 2)))
+
+        monkeypatch.setattr(verification, "enumerate_periodic_perfect", without_112)
+        report = check_conjecture(1, 2)
+        assert report.induced_not_enumerated == ((1, 1, 2),)
+        assert report.missing == () and report.confirmed
+        assert (report.counts["enumerated"], report.counts["induced"]) == (3, 4)
+        assert report.counts["from_path"] == 4
 
     def test_report_json_shape(self):
         data = check_theorem_k2(1).to_json()
