@@ -160,17 +160,14 @@ def _cmd_enumerate(args) -> int:
         dset = make_odd_distance_set(args.n)
         result = enumerate_periodic_perfect(args.n, args.k, budget=args.budget)
         # Period words are rotation classes already; only extra symmetries fold.
+        # The search is exhaustive and closed under them, so each class has
+        # exactly one entry whose word is its canonical form.
         _, reflection, colors = _parse_symmetry(args.symmetry, "rotation,colors")
-        reps = {
-            canonical_form(
-                c.word, rotation=True, reflection=reflection, color_permutation=colors
-            )
+        entries = [
+            (c, check_perfect(c, dset).matrix)
             for c, _ in result.entries
-        }
-        entries = []
-        for word in sorted(reps):
-            coloring = PeriodicColoring(word, args.k)
-            entries.append((coloring, check_perfect(coloring, dset).matrix))
+            if c.word == canonical_form(c.word, reflection=reflection, color_permutation=colors)
+        ]
     else:
         if args.t is None or args.distances is None:
             raise UsageError("finite enumeration needs --t and --distances")

@@ -84,6 +84,7 @@ from .core import (
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    least_rotation,
     neighbor_offsets,
     primitive_period,
     require_positive_int,
@@ -108,35 +109,35 @@ class EnumerationResult:
         return {c.word for c, _ in self.entries}
 
 
-def _orbit_words(word: tuple, rotation: bool, reflection: bool, color_permutation: bool):
-    rotations = [word[i:] + word[:i] for i in range(len(word))] if rotation else [word]
-    if reflection:
-        rotations += [w[::-1] for w in rotations]
+def _images(word: tuple, reflection: bool, color_permutation: bool):
+    """The word's reversed and recolored images, without rotations.
+
+    Reversal and recoloring map rotations to rotations, so an orbit under
+    rotation and these symmetries is the union of the images' rotation
+    classes, and least_rotation is the only code that rotates.  A recoloring
+    permutes the colors the word uses.
+    """
+    images = [word, word[::-1]] if reflection else [word]
     if not color_permutation:
-        yield from rotations
-        return
+        return images
     colors = sorted(set(word))
-    for target in permutations(colors):
-        relabel = dict(zip(colors, target))
-        for w in rotations:
-            yield tuple(relabel[c] for c in w)
+    relabels = (dict(zip(colors, target)) for target in permutations(colors))
+    return [tuple(relabel[c] for c in w) for relabel in relabels for w in images]
 
 
 def canonical_form(
     word: tuple[int, ...],
     *,
-    rotation: bool = True,
     reflection: bool = False,
     color_permutation: bool = False,
 ) -> tuple[int, ...]:
     """Canonical representative of a periodic word under the chosen symmetries.
 
-    The word is first reduced to its primitive period, then the least image
-    under the selected group is taken.  With rotation alone this matches the
-    canonical form stored by PeriodicColoring.
+    The least rotation of the primitive period's reversed and recolored
+    images; with neither symmetry it is the word PeriodicColoring stores.
     """
     word = primitive_period(tuple(word))
-    return min(_orbit_words(word, rotation, reflection, color_permutation))
+    return min(map(least_rotation, _images(word, reflection, color_permutation)))
 
 
 def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: int):
@@ -300,8 +301,8 @@ def enumerate_perfect_finite(
         # their length: no primitive reduction), with a recoloring producing it.
         images: dict[tuple[int, ...], tuple[int, ...]] = {}
         for target in permutations(range(1, k + 1)):
-            relabeled = tuple(target[c - 1] for c in base)
-            image = min(_orbit_words(relabeled, rotation, reflection, False))
+            relabeled = _images(tuple(target[c - 1] for c in base), reflection, False)
+            image = min(map(least_rotation, relabeled) if rotation else relabeled)
             images.setdefault(image, target)
         if color_permutation:
             least = min(images)
@@ -500,31 +501,21 @@ class Automaton:
         return 2 * self.n - 1
 
 
-def _window_counts(window: WindowState, positions: tuple[int, ...], k: int) -> tuple[int, ...]:
+def _seen_counts(window: WindowState, v: int, n: int, k: int) -> tuple[int, ...]:
+    """Color counts over the neighbors of offset v that lie inside the window."""
     counts = [0] * k
-    for p in positions:
-        counts[window[p] - 1] += 1
+    for d in range(1, 2 * n, 2):
+        for p in (v - d, v + d):
+            if 0 <= p < len(window):
+                counts[window[p] - 1] += 1
     return tuple(counts)
-
-
-def _center_positions(n: int) -> tuple[int, ...]:
-    center = 2 * n - 1
-    return tuple(sorted([center - d for d in range(1, 2 * n, 2)] + [center + d for d in range(1, 2 * n, 2)]))
-
-
-def _extension_positions(n: int) -> tuple[int, ...]:
-    # Known neighbors of the vertex at offset 2n; only offset 4n-1 is outside.
-    probe = 2 * n
-    inside = [probe - d for d in range(1, 2 * n, 2)]
-    inside += [probe + d for d in range(1, 2 * n, 2) if probe + d < 4 * n - 1]
-    return tuple(sorted(inside))
 
 
 def window_is_consistent(automaton: Automaton, window: WindowState) -> bool:
     """Whether the window's center vertex sees exactly its matrix row."""
     if len(window) != automaton.window_length:
         raise ValueError(f"window must have length {automaton.window_length}")
-    counts = _window_counts(window, _center_positions(automaton.n), automaton.k)
+    counts = _seen_counts(window, automaton.center, automaton.n, automaton.k)
     return counts == automaton.matrix.rows[window[automaton.center] - 1]
 
 
@@ -540,7 +531,8 @@ def step_window(automaton: Automaton, window: WindowState) -> int | None:
     """The forced color one step past the window, or None if none is consistent."""
     if len(window) != automaton.window_length:
         raise ValueError(f"window must have length {automaton.window_length}")
-    known = _window_counts(window, _extension_positions(automaton.n), automaton.k)
+    # The vertex at offset 2n sees all its neighbors but the one at 4n-1.
+    known = _seen_counts(window, 2 * automaton.n, automaton.n, automaton.k)
     return _forced_color(automaton.matrix.rows[window[2 * automaton.n] - 1], known)
 
 

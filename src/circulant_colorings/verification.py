@@ -129,13 +129,15 @@ def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
     the matrix its finite search or path template supplied.  The budget goes
     to each of the three finite searches, which count their own work
     against it; each search's pullbacks are reduced to their words before
-    the next search runs.
+    the next search runs.  The searches fold rotations: every rotation of a
+    finite word pulls back to the same periodic coloring and matrix.
     """
     require_positive_int("k", k)
     dset = make_odd_distance_set(n)
     found: dict[tuple[int, ...], Entry] = {}
     for t, _ in _finite_orders(n):
-        for finite, matrix in enumerate_perfect_finite(t, dset, k, budget=budget).entries:
+        result = enumerate_perfect_finite(t, dset, k, rotation=True, budget=budget)
+        for finite, matrix in result.entries:
             coloring = PeriodicColoring(finite.word, k)
             found.setdefault(coloring.word, (coloring, matrix))
     path = _path_family(dset, k)

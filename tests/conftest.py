@@ -125,6 +125,31 @@ def scan_perfect_finite(
     return EnumerationResult(tuple((FiniteColoring(w, k), found[w]) for w in sorted(found)))
 
 
+def brute_canonical_form(word, *, reflection=False, color_permutation=False):
+    """Least word in the orbit of the primitive period, by listing the orbit.
+
+    Every rotation, optionally reversed, under every permutation of the
+    colors the word uses (or only the identity) is built and compared.
+    """
+    word = tuple(word)
+    period = next(
+        p for p in range(1, len(word) + 1)
+        if len(word) % p == 0 and all(word[i] == word[i % p] for i in range(len(word)))
+    )
+    word = word[:period]
+    colors = sorted(set(word))
+    targets = itertools.permutations(colors) if color_permutation else [colors]
+    orbit = []
+    for target in targets:
+        relabel = dict(zip(colors, target))
+        for shift in range(period):
+            rotated = [relabel[word[(i + shift) % period]] for i in range(period)]
+            orbit.append(tuple(rotated))
+            if reflection:
+                orbit.append(tuple(reversed(rotated)))
+    return min(orbit)
+
+
 def consistent_windows(automaton):
     """All consistent windows, by filtering the whole product space."""
     return tuple(

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from circulant_colorings import DistanceSet, FiniteColoring, coloring_to_json
+from circulant_colorings import (
+    DistanceSet,
+    FiniteColoring,
+    canonical_form,
+    coloring_to_json,
+    enumerate_perfect_finite,
+    enumerate_periodic_perfect,
+)
 from circulant_colorings.cli import main
 
 
@@ -115,6 +122,38 @@ class TestEnumerate:
         )
         assert code == 0
         assert len(text.splitlines()) == 4
+
+    # At n = 3 reflections fold 56 color classes into 46; at n = 2 they fold none.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_infinite_folds_reflections_and_colors(self, tmp_path, n):
+        code, text = run(
+            tmp_path, "enumerate", "--infinite", "--n", str(n), "--k", "2",
+            "--symmetry", "rotation,reflection,colors",
+        )
+        assert code == 0
+        matrix_of = {c.word: m.to_lists() for c, m in enumerate_periodic_perfect(n, 2).entries}
+        reps = sorted(
+            {canonical_form(w, reflection=True, color_permutation=True) for w in matrix_of}
+        )
+        printed = [json.loads(line) for line in text.splitlines()]
+        assert [tuple(p["coloring"]["word"]) for p in printed] == reps
+        assert all(p["matrix"] == matrix_of[tuple(p["coloring"]["word"])] for p in printed)
+        assert len(reps) < len(matrix_of)
+
+    def test_finite_symmetry_matches_library(self, tmp_path):
+        code, text = run(
+            tmp_path, "enumerate", "--t", "8", "--distances", "1,3", "--k", "2",
+            "--symmetry", "rotation,colors",
+        )
+        assert code == 0
+        dset = DistanceSet((1, 3))
+        result = enumerate_perfect_finite(8, dset, 2, rotation=True, color_permutation=True)
+        expected = [
+            {"coloring": coloring_to_json(c, dset), "matrix": m.to_lists()}
+            for c, m in result.entries
+        ]
+        assert [json.loads(line) for line in text.splitlines()] == expected
+        assert expected
 
     def test_unknown_symmetry_rejected(self, tmp_path):
         code, _ = run(

@@ -33,6 +33,7 @@ from circulant_colorings.enumeration import (
 from circulant_colorings.perfection import admissible_matrix_templates
 from conftest import (
     all_row_sum_matrices,
+    brute_canonical_form,
     brute_perfect_words,
     consistent_windows,
     scan_perfect_finite,
@@ -82,6 +83,17 @@ class TestCanonicalForm:
         for i in range(len(word)):
             rotated = word[i:] + word[:i]
             assert canonical_form(rotated, reflection=True, color_permutation=True) == rep
+
+    def test_random_words_match_orbit_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            k = rng.randint(1, 4)
+            word = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 12)))
+            if rng.random() < 0.5:  # a repeated word exercises the primitive reduction
+                word = word[: rng.randint(1, 4)] * rng.randint(2, 3)
+            for reflection, colors in itertools.product((False, True), repeat=2):
+                flags = dict(reflection=reflection, color_permutation=colors)
+                assert canonical_form(word, **flags) == brute_canonical_form(word, **flags)
 
 
 class TestSurjectiveCount:
