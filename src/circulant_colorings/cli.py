@@ -280,16 +280,19 @@ def _cmd_export_dot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--out", default=None, help="write data output to this file")
-    common.add_argument(
+    # Each subcommand takes only the shared options its handler reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write data output to this file")
+    fmt = argparse.ArgumentParser(add_help=False, parents=[out])
+    fmt.add_argument("--format", choices=("json", "table"), default="json")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--budget",
         type=int,
         default=None,
         help=f"work cap for each search (default {DEFAULT_BUDGET}): vertices colored plus "
-        "k! per perfect partition (finite), start windows and matrices generated "
-        "(infinite), part-word pairs (construct --family balanced)",
+        "k! per perfect partition (finite), matrices generated, and window digits placed "
+        "plus steps walked (infinite), part-word pairs (construct --family balanced)",
     )
 
     parser = argparse.ArgumentParser(
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="check one coloring for perfection")
+    p = sub.add_parser("verify", parents=[fmt], help="check one coloring for perfection")
     p.add_argument("--coloring", required=True, help="comma list or JSON file")
     p.add_argument("--distances", default=None, help="comma list, e.g. 1,3")
     p.add_argument("--t", type=int, default=None, help="vertex count; must match the word length")
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinite", action="store_true", help="treat the word as a period")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("enumerate", parents=[common], help="search for all perfect colorings")
+    p = sub.add_parser("enumerate", parents=[fmt, budget], help="search for all perfect colorings")
     p.add_argument("--infinite", action="store_true")
     p.add_argument("--n", type=int, default=None, help="odd distances 1,3,...,2n-1 (infinite mode)")
     p.add_argument("--t", type=int, default=None, help="vertex count (finite mode)")
@@ -320,26 +323,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("construct", parents=[common], help="run a known construction family")
+    p = sub.add_parser("construct", parents=[fmt, budget], help="run a known construction family")
     p.add_argument("--family", required=True, choices=("path", "balanced", "matched", "two-color"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--k", type=int, default=2)
     p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("induce", parents=[common], help="pull a finite coloring back to Z")
+    p = sub.add_parser("induce", parents=[fmt], help="pull a finite coloring back to Z")
     p.add_argument("--coloring", required=True, help="comma list or JSON file")
     p.add_argument("--distances", default=None)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(handler=_cmd_induce, infinite=False)
 
-    p = sub.add_parser("check", parents=[common], help="completeness checks vs exhaustive search")
+    p = sub.add_parser(
+        "check", parents=[out, budget], help="completeness checks vs exhaustive search"
+    )
     p.add_argument("--theorem-k2", action="store_true", dest="theorem_k2")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("export-dot", parents=[common], help="render a finite colored graph as DOT")
+    p = sub.add_parser("export-dot", parents=[out], help="render a finite colored graph as DOT")
     p.add_argument("--coloring", required=True, help="comma list or JSON file")
     p.add_argument("--distances", default=None)
     p.add_argument("--k", type=int, default=None)

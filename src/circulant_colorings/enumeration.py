@@ -19,8 +19,8 @@ Every search takes one budget (core.DEFAULT_BUDGET by default) and counts
 the work it does in its own unit, raising BudgetExceededError as soon as the
 count passes the budget: the finite search counts vertices colored plus k!
 per perfect partition expanded, candidate_matrices the support-symmetric
-matrices it generates, and the periodic search its start windows, whose
-number has a closed form and is checked before any walk.
+matrices it generates, and the periodic search the window digits it places
+while generating its starts plus the steps it walks.
 
 The infinite graphs Ci(D_n) are handled by a forced-extension recurrence.
 In Ci(D_n) the neighborhood of v is {v-2n+1, v-2n+3, ..., v+2n-1}, so
@@ -49,10 +49,10 @@ s therefore never enters a cycle it did not start on: it returns to s or
 dies.  Each cycle is recorded from its least window only, and a walk stops
 at the first window below s; no cycle is lost, because a walk that meets a
 smaller window either dies or lies on a cycle whose least window is
-smaller than s and records it.  No visited set or path is kept, and the
-start windows are generated directly from the rows (every consistent
-window is a start), so memory is the output and the work is bounded by
-the closed-form number of starts, which the budget caps.
+smaller than s and records it.  A cycle's least window is a prenecklace,
+so the starts are the consistent windows that are prenecklaces, generated
+directly from the rows.  No visited set or path is kept, so memory is the
+output.
 
 Only matrices that some onto perfect coloring could have are searched.
 candidate_matrices keeps those that pass three necessary conditions, each
@@ -75,7 +75,7 @@ The stats key matrices_tried counts those orbit representatives.
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial
 from operator import gt
 
 from .core import (
@@ -560,68 +560,64 @@ def _tap_table(rows: tuple[tuple[int, ...], ...]) -> list[int | None]:
     return table
 
 
-def _arrangement_values(counts: tuple[int, ...], weights: tuple[int, ...]) -> list[int]:
-    """sum(digit * weight) over every distinct arrangement of a multiset on the weights.
+def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], spent: list[int], budget: int):
+    """The consistent 4n-windows of one matrix that are prenecklaces, encoded.
 
-    counts[d] copies of digit d are placed, one per weight; sum(counts) must
-    equal len(weights).
-    """
-    left = list(counts)
-    values: list[int] = []
+    With a = c(2n-1) and b = c(2n), a consistent window holds r_a - e_b on
+    the even offsets other than 2n and r_b - e_a on the odd offsets other
+    than 2n-1.  Soundness: let W be the least window of a cycle.  If
+    W[i:] < W[:4n-i] for some 0 < i < 4n, the window i steps later begins
+    with W[i:] and is smaller than W.  So every suffix of W is at least the
+    prefix of the same length: W is a prenecklace, and is generated.
 
-    def place(i: int, value: int):
-        if i == len(weights):
-            values.append(value)
-            return
-        for digit, count in enumerate(left):
-            if count:
-                left[digit] -= 1
-                place(i + 1, value + digit * weights[i])
-                left[digit] += 1
+    Digits are placed in Fredricksen-Kessler-Maiorana order restricted to
+    that content (Ruskey, Savage and Wang, J. Algorithms 13, 1992; Sawada,
+    TCS 301, 2003): with p the length of the longest Lyndon prefix, a
+    prenecklace stays one exactly when the digit at offset i is >= w[i-p];
+    an equal digit keeps p, a greater one sets p = i+1.
 
-    place(0, 0)
-    return values
-
-
-def _multinomial(counts: tuple[int, ...]) -> int:
-    """Distinct arrangements of a multiset with these counts; 0 if one is negative."""
-    if min(counts) < 0:
-        return 0
-    return factorial(sum(counts)) // prod(map(factorial, counts))
-
-
-def _start_count(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Closed-form number of consistent 4n-windows, the starts of one matrix."""
-    k = len(rows)
-    return sum(
-        _multinomial(_minus(rows[a], b)) * _multinomial(_minus(rows[b], a))
-        for a in range(k)
-        for b in range(k)
-    )
-
-
-def _start_windows(n: int, rows: tuple[tuple[int, ...], ...]):
-    """Every consistent 4n-window of one matrix, encoded, generated from the rows.
-
-    With a = c(2n-1) and b = c(2n), the even offsets other than 2n hold
-    r_a - e_b and the odd offsets other than 2n-1 hold r_b - e_a, in every
-    distinct arrangement.
+    spent[0] counts one unit per digit placed here; the caller adds each
+    walk's steps before asking for the next window.  BudgetExceededError is
+    raised as soon as the count passes the budget.
     """
     k = len(rows)
     length = 4 * n
-    weight = [k ** (length - 1 - offset) for offset in range(length)]
-    even = tuple(weight[i] for i in range(0, length, 2) if i != 2 * n)
-    odd = tuple(weight[i] for i in range(1, length, 2) if i != 2 * n - 1)
+    word = [0] * length
+
+    def exceeded() -> BudgetExceededError:
+        return BudgetExceededError(
+            f"periodic search for n={n}, k={k} spent {spent[0]} units (window digits "
+            f"placed plus steps walked), passing the budget of {budget}"
+        )
+
+    def extend(i: int, p: int, value: int):
+        if i == length:
+            yield value
+            if spent[0] > budget:
+                raise exceeded()
+            return
+        counts = pools[i]
+        least = word[i - p] if i else 0
+        for d in range(least, k):
+            if not counts[d]:
+                continue
+            spent[0] += 1
+            if spent[0] > budget:
+                raise exceeded()
+            word[i] = d
+            counts[d] -= 1
+            yield from extend(i + 1, p if d == least else i + 1, value * k + d)
+            counts[d] += 1
+
     for a in range(k):
         for b in range(k):
-            if not rows[a][b] or not rows[b][a]:
-                continue
-            middle = a * weight[2 * n - 1] + b * weight[2 * n]
-            evens = _arrangement_values(_minus(rows[a], b), even)
-            odds = _arrangement_values(_minus(rows[b], a), odd)
-            for e in evens:
-                for o in odds:
-                    yield middle + e + o
+            if rows[a][b] and rows[b][a]:
+                even, odd = list(_minus(rows[a], b)), list(_minus(rows[b], a))
+                # pools[i]: the digits still free for offset i
+                pools = [odd if i % 2 else even for i in range(length)]
+                pools[2 * n - 1] = [int(d == a) for d in range(k)]
+                pools[2 * n] = [int(d == b) for d in range(k)]
+                yield from extend(0, 1, 0)
 
 
 def enumerate_periodic_perfect(
@@ -632,14 +628,10 @@ def enumerate_periodic_perfect(
 ) -> EnumerationResult:
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
-    Per searched matrix, every consistent 4n-window is a start and is walked
-    through the three-tap map (see the module docstring): the cycles of the
-    map are exactly the perfect colorings.  The map is injective on
-    consistent windows, so a walk returns to its start or dies; a cycle is
-    recorded only from its least window, and a walk stops at the first
-    window below its start, which loses no cycle because that cycle is
-    recorded from its own, smaller, least window.  Nothing but the output is
-    stored.  stats["states_followed"] counts the steps walked.
+    Per searched matrix, each start of _prenecklace_windows is walked
+    through the three-tap map, and each cycle is recorded from its least
+    window (see the module docstring).  stats["states_followed"] counts the
+    steps walked.
 
     The matrices (candidate_matrices by default) are grouped into S_k
     conjugacy orbits and only the least image of each orbit is searched.  A
@@ -647,11 +639,12 @@ def enumerate_periodic_perfect(
     onto cycle is reported under every recoloring whose image matrix is one
     of the given matrices, carrying that matrix object; caller-given
     matrices therefore restrict the output exactly as a search of each of
-    them would.  The budget caps the closed-form number of start windows,
-    sum over a, b of multinomial(2n-1; r_a - e_b) * multinomial(2n-1;
-    r_b - e_a) over the searched matrices, checked before any walk, and,
-    through candidate_matrices, the matrices generated;
-    matrices given by the caller must be k x k with every row summing to 2n.
+    them would, and must be k x k with every row summing to 2n.
+
+    The budget caps the work as it is spent: one unit per window digit
+    placed while generating the starts, plus each walk's steps, added when
+    the walk ends.  candidate_matrices counts the matrices it generates
+    under the same budget.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
@@ -677,20 +670,16 @@ def enumerate_periodic_perfect(
         searched.update(image.rows for _, image in images)
         targets = [(p, given[image.rows]) for p, image in images if image.rows in given]
         orbits.append((representative.rows, targets))
-    starts = sum(_start_count(rows) for rows, _ in orbits)
-    if starts > budget:
-        raise BudgetExceededError(
-            f"{starts} start windows for n={n}, k={k} exceed the budget of {budget}"
-        )
 
     found: dict[tuple[int, ...], Entry] = {}
     stats = {"matrices_tried": len(orbits), "states_followed": 0, "cycles_found": 0}
     top = k ** (4 * n - 1)  # weight of offset 0
     weight_a = k ** (2 * n)  # offset 2n-1
     weight_b = k ** (2 * n - 2)  # offset 2n+1
+    spent = [0]
     for rows, targets in orbits:
         step = _tap_table(rows)
-        for start in _start_windows(n, rows):
+        for start in _prenecklace_windows(n, rows, spent, budget):
             window = start
             tail: list[int] = []  # forced digits; once back at start, one period
             while True:
@@ -709,6 +698,7 @@ def enumerate_periodic_perfect(
                                 found.setdefault(coloring.word, (coloring, target))
                     break
             stats["states_followed"] += len(tail)
+            spent[0] += len(tail)
 
     entries = tuple(found[w] for w in sorted(found))
     stats["colorings"] = len(entries)

@@ -22,6 +22,7 @@ from .core import (
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    least_rotation,
     make_odd_distance_set,
     require_positive_int,
 )
@@ -70,15 +71,18 @@ def _finite_orders(n: int) -> tuple[tuple[int, str], ...]:
 
 def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], Entry]:
     """Word -> (coloring, matrix) for each recoloring of every path template
-    check_perfect confirms on dset: one check per template, then relabeled."""
+    check_perfect confirms on dset: one check per template, then relabeled
+    once per word.  A recolored template is a primitive period, so its
+    least rotation is the word."""
     family: dict[tuple[int, ...], Entry] = {}
     for template in path_colorings(k):
         verdict = check_perfect(template, dset)
         if not verdict.is_perfect:
             continue
         for target in permutations(range(1, k + 1)):
-            coloring = PeriodicColoring(tuple(target[c - 1] for c in template.word), k)
-            family.setdefault(coloring.word, (coloring, verdict.matrix.relabeled(target)))
+            word = least_rotation(tuple(target[c - 1] for c in template.word))
+            if word not in family:
+                family[word] = (PeriodicColoring(word, k), verdict.matrix.relabeled(target))
     return family
 
 

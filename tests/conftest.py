@@ -159,6 +159,11 @@ def consistent_windows(automaton):
     )
 
 
+def is_prenecklace(word):
+    """Whether every suffix of the word is at least its prefix of the same length."""
+    return all(word[i:] >= word[: len(word) - i] for i in range(1, len(word)))
+
+
 def table_periodic_search(n, k, matrices):
     """Perfect colorings of Ci(D_n) by the window-table walk, one matrix at a time.
 

@@ -297,6 +297,23 @@ class TestExportDot:
         assert '1 [fillcolor="skyblue"];' in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--distances", "1,3", "--coloring", "1,2", "--budget", "5"),
+        ("induce", "--distances", "1,3", "--coloring", "1,2", "--budget", "5"),
+        ("export-dot", "--distances", "1,3", "--coloring", "1,2", "--budget", "5"),
+        ("export-dot", "--distances", "1,3", "--coloring", "1,2", "--format", "table"),
+        ("check", "--n", "1", "--k", "2", "--format", "table"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def readme_cli_examples():
     """The commands in the sh block under the README's "## Command line"."""
     text = (Path(__file__).parent.parent / "README.md").read_text()

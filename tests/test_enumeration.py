@@ -22,11 +22,11 @@ from circulant_colorings import (
     step_window,
     window_is_consistent,
 )
+from circulant_colorings.core import DEFAULT_BUDGET
 from circulant_colorings.enumeration import (
     _has_parity_split,
     _is_balanced,
-    _start_count,
-    _start_windows,
+    _prenecklace_windows,
     _support_symmetric,
     _tap_table,
 )
@@ -36,6 +36,7 @@ from conftest import (
     brute_canonical_form,
     brute_perfect_words,
     consistent_windows,
+    is_prenecklace,
     scan_perfect_finite,
     surjective_word_count,
     table_periodic_search,
@@ -333,20 +334,23 @@ def _decode(window, n, k):
 
 
 class TestThreeTapEngine:
-    def test_start_windows_are_every_consistent_window(self):
-        # closed-form count, no repeats, every start consistent, and (by a
-        # scan of all k^(4n) windows) no consistent window missed
+    def test_start_windows_are_the_consistent_prenecklaces(self):
+        # no repeats, and (by a scan of all k^(4n) windows) exactly the
+        # consistent windows that are prenecklaces
         for n, k in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
             windows = list(itertools.product(range(1, k + 1), repeat=4 * n))
             for matrix in candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
-                starts = [_decode(w, n, k) for w in _start_windows(n, matrix.rows)]
-                assert len(starts) == len(set(starts)) == _start_count(matrix.rows), (n, k, matrix)
-                consistent = {
+                generated = _prenecklace_windows(n, matrix.rows, [0], DEFAULT_BUDGET)
+                starts = [_decode(w, n, k) for w in generated]
+                assert len(starts) == len(set(starts)), (n, k, matrix)
+                expected = {
                     w for w in windows
-                    if window_is_consistent(auto, w[:-1]) and window_is_consistent(auto, w[1:])
+                    if window_is_consistent(auto, w[:-1])
+                    and window_is_consistent(auto, w[1:])
+                    and is_prenecklace(w)
                 }
-                assert set(starts) == consistent, (n, k, matrix)
+                assert set(starts) == expected, (n, k, matrix)
 
     def test_tap_table_matches_step_window(self):
         # taps (a, b, o) = colors at offsets 2n-1, 2n+1 and 0 of a 4n-window;
@@ -436,10 +440,11 @@ class TestEnumeratePeriodicPerfect:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_periodic_perfect(3, 3, budget=1000)
-        # (2, 2): 17 matrices generated, 117 start windows over the 6 searched
-        assert len(enumerate_periodic_perfect(2, 2, budget=117).entries) == 18
-        with pytest.raises(BudgetExceededError):
-            enumerate_periodic_perfect(2, 2, budget=116)
+        # (2, 2): 17 matrices generated; the search spends 440 units, 296
+        # window digits placed plus 144 steps walked, over the 6 searched
+        assert len(enumerate_periodic_perfect(2, 2, budget=440).entries) == 18
+        with pytest.raises(BudgetExceededError, match="spent 440 units"):
+            enumerate_periodic_perfect(2, 2, budget=439)
         bipartite = (ParameterMatrix(((0, 2), (2, 0))),)
         for budget in BAD_BUDGETS:
             with pytest.raises(ValueError):
@@ -448,11 +453,15 @@ class TestEnumeratePeriodicPerfect:
                 enumerate_periodic_perfect(1, 2, matrices=bipartite, budget=budget)
 
     def test_budget_caps_candidate_matrices(self):
-        # the 21 start windows of (1, 3) fit, but the 26 support-symmetric
-        # matrices candidate_matrices generates do not
-        assert len(enumerate_periodic_perfect(1, 3, budget=26).entries) == 14
-        with pytest.raises(BudgetExceededError):
-            enumerate_periodic_perfect(1, 3, budget=25)
+        # the search of (1, 4) spends 105 units, but candidate_matrices
+        # generates 176 support-symmetric matrices
+        assert len(enumerate_periodic_perfect(1, 4, budget=176).entries) == 54
+        with pytest.raises(BudgetExceededError, match="176 support-symmetric"):
+            enumerate_periodic_perfect(1, 4, budget=175)
+        given = candidate_matrices(1, 4)
+        assert len(enumerate_periodic_perfect(1, 4, matrices=given, budget=105).entries) == 54
+        with pytest.raises(BudgetExceededError, match="units .window digits placed"):
+            enumerate_periodic_perfect(1, 4, matrices=given, budget=104)
 
     def test_rejects_invalid_matrices(self):
         with pytest.raises(ValueError):
