@@ -193,6 +193,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    for option in {"path": ("t", "budget"), "balanced": ("t",)}.get(args.family, ()):
+        if getattr(args, option) is not None:
+            raise UsageError(f"--{option} is not read by --family {args.family}")
+    if args.family == "two-color" and args.k != 2:
+        raise UsageError(f"--k {args.k} is not read by --family two-color, which uses 2 colors")
     if args.family == "path":
         dset = make_odd_distance_set(args.n if args.n is not None else 1)
         colorings = path_colorings(args.k)
@@ -205,12 +210,12 @@ def _cmd_construct(args) -> int:
         if args.n is None or args.t is None:
             raise UsageError("--family matched needs --n and --t")
         dset = make_odd_distance_set(args.n)
-        colorings = all_matched_colorings(args.n, args.t, args.k)
+        colorings = all_matched_colorings(args.n, args.t, args.k, budget=args.budget)
     elif args.family == "two-color":
         if args.n is None or args.t is None:
             raise UsageError("--family two-color needs --n and --t")
         dset = make_odd_distance_set(args.n)
-        cases = two_color_cases(args.n, args.t)
+        cases = two_color_cases(args.n, args.t, budget=args.budget)
         colorings = cases.all()
         print(
             f"monochrome-matching: {len(cases.monochrome)}, bipartite: {len(cases.bipartite)}",
@@ -290,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"work cap for each search (default {DEFAULT_BUDGET}): vertices colored plus "
-        "k! per perfect partition (finite), matrices generated, and window digits placed "
-        "plus steps walked (infinite), part-word pairs (construct --family balanced)",
+        help=f"work units each search may spend (default {DEFAULT_BUDGET}): vertices colored "
+        "plus k! per perfect partition (finite), matrices generated, and window digits placed "
+        "plus steps walked (infinite); part-word pairs, per-edge assignments and monochrome "
+        "assignments (construct --family balanced, matched and two-color)",
     )
 
     parser = argparse.ArgumentParser(

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
-from .core import (
-    BudgetExceededError,
-    FiniteColoring,
-    PeriodicColoring,
-    require_positive_int,
-    resolve_budget,
-)
+from .core import FiniteColoring, PeriodicColoring, WorkMeter, require_positive_int
 
 
 def path_colorings(k: int) -> tuple[PeriodicColoring, ...]:
@@ -216,16 +210,20 @@ def _pair_partitions(colors: tuple[int, ...]):
             yield ((first, other),) + tail
 
 
-def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
+def all_matched_colorings(
+    n: int, t: int, k: int, budget: int | None = None
+) -> tuple[FiniteColoring, ...]:
     """Every perfect k-coloring of Ci_t(D_n) for t = 4n+-2, via split drivers.
 
     Enumerates all color splits, then all per-edge assignments that use every
     color and keep the two orientations of each swap pair equinumerous (the
     pairing of C2 edges); bipartite splits need every color pair on at least
-    one edge.  Results are deduplicated as words.
+    one edge.  Results are deduplicated as words.  The budget's unit is one
+    per-edge assignment scanned, spent for each split before its scan.
     """
     n_edges = _matched_graph(n, t)
     require_positive_int("k", k)
+    meter = WorkMeter(budget, f"matched driver for n={n}, t={t}, k={k}", "per-edge assignments")
     colors = tuple(range(1, k + 1))
     found: dict[tuple[int, ...], FiniteColoring] = {}
 
@@ -237,6 +235,7 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
                     (p[o], p[1 - o]) for p, o in zip(partition, orientation)
                 )
                 split = ColorSplit(k, bipartite_pairs=pairs)
+                meter.spend(len(pairs) ** n_edges)
                 for choice in product(pairs, repeat=n_edges):
                     if set(choice) != set(pairs):
                         continue
@@ -258,6 +257,7 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
             for x, y in partition:
                 labels.append(("s", (x, y)))
                 labels.append(("s", (y, x)))
+            meter.spend(len(labels) ** n_edges)
             for choice in product(labels, repeat=n_edges):
                 if any(("m", c) not in choice for c in mono):
                     continue
@@ -288,15 +288,12 @@ def all_matched_colorings(n: int, t: int, k: int) -> tuple[FiniteColoring, ...]:
 def all_4n_colorings(n: int, k: int, budget: int | None = None) -> tuple[FiniteColoring, ...]:
     """Every perfect k-coloring of Ci_{4n}(D_n), via all valid part-word pairs.
 
-    The budget caps the k^(4n) part-word pairs scanned, checked before the scan.
+    The budget's unit is one part-word pair, all k^(4n) spent before the scan.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
-    budget = resolve_budget(budget)
-    if k ** (4 * n) > budget:
-        raise BudgetExceededError(
-            f"{k}^{4 * n} part-word pairs pass the budget of {budget}"
-        )
+    meter = WorkMeter(budget, f"balanced driver for n={n}, k={k}", "part-word pairs")
+    meter.spend(k ** (4 * n))
     colors = range(1, k + 1)
     found: dict[tuple[int, ...], FiniteColoring] = {}
     for even_word in product(colors, repeat=2 * n):
@@ -324,14 +321,17 @@ class TwoColorCases:
         return self.monochrome + self.bipartite
 
 
-def two_color_cases(n: int, t: int) -> TwoColorCases:
+def two_color_cases(n: int, t: int, budget: int | None = None) -> TwoColorCases:
     """Perfect 2-colorings of Ci_t(D_n), t = 4n+-2, listed by family.
 
     Either every matching edge is monochrome and both colors occur (2^m - 2
     assignments over m edges), or the coloring is the bipartite one (2 ways
-    to attach the colors to the parts).
+    to attach the colors to the parts).  The budget's unit is one monochrome
+    assignment, all 2^m spent before the scan.
     """
     n_edges = _matched_graph(n, t)
+    meter = WorkMeter(budget, f"two-color driver for n={n}, t={t}", "monochrome assignments")
+    meter.spend(2**n_edges)
     split = ColorSplit(2, monochrome=frozenset((1, 2)))
     mono = []
     for assignment in product((1, 2), repeat=n_edges):

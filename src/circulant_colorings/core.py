@@ -24,7 +24,7 @@ Color = int
 ColorCounts = tuple[int, ...]
 
 
-# The one work budget every search takes; each counts its own unit of work.
+# The one work budget every search takes, counted through a WorkMeter.
 DEFAULT_BUDGET = 1 << 24
 
 
@@ -60,12 +60,27 @@ def require_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def resolve_budget(budget: int | None) -> int:
-    """DEFAULT_BUDGET for None; otherwise the budget, which must be an int >= 1."""
-    if budget is None:
-        return DEFAULT_BUDGET
-    require_positive_int("budget", budget)
-    return budget
+class WorkMeter:
+    """One search's count of the work it has done, against its budget.
+
+    The budget rule every search follows: it spends units of its own kind of
+    work as it does that work, and BudgetExceededError is raised as soon as
+    the count passes the budget.  None means DEFAULT_BUDGET; any other
+    budget must be an int >= 1.
+    """
+
+    def __init__(self, budget: int | None, search: str, unit: str):
+        budget = DEFAULT_BUDGET if budget is None else budget
+        require_positive_int("budget", budget)
+        self.budget, self.search, self.unit, self.spent = budget, search, unit, 0
+
+    def spend(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > self.budget:
+            raise BudgetExceededError(
+                f"{self.search} spent {self.spent} units ({self.unit}), "
+                f"passing the budget of {self.budget}"
+            )
 
 
 def make_odd_distance_set(n: int) -> DistanceSet:

@@ -15,12 +15,11 @@ matrix conjugated by the recoloring (ParameterMatrix.relabeled), and
 rotations and reflections are graph automorphisms, so an orbit
 representative keeps the matrix of the labeling it came from.
 
-Every search takes one budget (core.DEFAULT_BUDGET by default) and counts
-the work it does in its own unit, raising BudgetExceededError as soon as the
-count passes the budget: the finite search counts vertices colored plus k!
-per perfect partition expanded, candidate_matrices the support-symmetric
-matrices it generates, and the periodic search the window digits it places
-while generating its starts plus the steps it walks.
+Every search spends its budget through one core.WorkMeter, in its own
+unit: the finite search counts vertices colored plus k! per perfect
+partition expanded, candidate_matrices the support-symmetric matrices it
+generates, and the periodic search the window digits it places while
+generating its starts plus the steps it walks.
 
 The infinite graphs Ci(D_n) are handled by a forced-extension recurrence.
 In Ci(D_n) the neighborhood of v is {v-2n+1, v-2n+3, ..., v+2n-1}, so
@@ -79,16 +78,15 @@ from math import factorial
 from operator import gt
 
 from .core import (
-    BudgetExceededError,
     DistanceSet,
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    WorkMeter,
     least_rotation,
     neighbor_offsets,
     primitive_period,
     require_positive_int,
-    resolve_budget,
 )
 from .perfection import check_perfect
 
@@ -140,7 +138,7 @@ def canonical_form(
     return min(map(least_rotation, _images(word, reflection, color_permutation)))
 
 
-def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: int):
+def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: WorkMeter):
     """Depth-first search for the color-class partitions that can be perfect.
 
     Yields restricted growth strings (colors 1..k in order of first use,
@@ -169,10 +167,9 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: 
     yielded is a perfect partition.  stats gains nodes_visited (vertices
     colored), pruned_closed and pruned_bound (nodes each rule cut off).
 
-    Work is counted as it is spent: one unit per vertex colored and k! per
-    leaf, the labelings its partition expands into, so the count also
-    bounds the colorings the caller keeps.  BudgetExceededError is raised
-    as soon as the count passes the budget.
+    The meter is spent one unit per vertex colored and k! per leaf, the
+    labelings its partition expands into, so the count also bounds the
+    colorings the caller keeps.
     """
     offsets = neighbor_offsets(dset, t)
     # seen_by[i]: the vertices whose neighborhood holds i, with multiplicity.
@@ -184,16 +181,8 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: 
     counts = [[0] * k for _ in range(t)]
     rows: list[list[int] | None] = [None] * k
     nodes = pruned_closed = pruned_bound = 0
-    # nodes may reach limit; each leaf lowers it by the k! labelings it expands into.
-    limit = budget
     labelings = factorial(k)
-
-    def exceeded() -> BudgetExceededError:
-        spent = nodes + budget - limit
-        return BudgetExceededError(
-            f"finite search for t={t}, k={k} spent {spent} units (vertices colored "
-            f"plus k! per perfect partition), passing the budget of {budget}"
-        )
+    spend = meter.spend
 
     def fits(i: int, color: int, fixed_here: list[int]) -> bool:
         """Whether both rules pass once vertex i has color; rows fixed go in fixed_here."""
@@ -224,11 +213,9 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: 
         return True
 
     def extend(i: int, used: int):
-        nonlocal nodes, limit
+        nonlocal nodes
         if i == t:
-            limit -= labelings
-            if nodes > limit:
-                raise exceeded()
+            spend(labelings)
             yield tuple(c + 1 for c in word)
             return
         for color in range(min(used + 1, k)):
@@ -236,8 +223,7 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, budget: 
             if k - now_used > t - i - 1:
                 continue
             nodes += 1
-            if nodes > limit:
-                raise exceeded()
+            spend()
             word[i] = color
             for u in seen_by[i]:
                 counts[u][color] += 1
@@ -272,10 +258,9 @@ def enumerate_perfect_finite(
     _perfect_partitions as neighborhoods close; each partition that survives
     to a leaf is checked once with check_perfect, whose verdict decides it
     and whose matrix, relabeled, every coloring reported carries.  The
-    budget caps the work as the search does it: one unit per vertex colored
-    (nodes_visited) plus k! per perfect partition expanded, which is at
-    least the number of labeled colorings kept, so it bounds memory too.
-    BudgetExceededError is raised as soon as that count passes the budget.
+    budget's unit is one vertex colored (nodes_visited) plus k! per perfect
+    partition expanded, which is at least the number of labeled colorings
+    kept, so it bounds memory too.
 
     stats:
       classes_examined -- leaves reached, one check_perfect each;
@@ -284,14 +269,17 @@ def enumerate_perfect_finite(
       nodes_visited -- vertices colored during the search;
       pruned_closed -- nodes cut off because a closed neighborhood's counts
         differ from its color's row;
-      pruned_bound -- nodes cut off because a partial count exceeds a row.
+      pruned_bound -- nodes cut off because a partial count exceeds a row;
+      units -- the budget units spent.
     """
     require_positive_int("t", t)
     require_positive_int("k", k)
-    budget = resolve_budget(budget)
+    meter = WorkMeter(
+        budget, f"finite search for t={t}, k={k}", "vertices colored plus k! per perfect partition"
+    )
     found: dict[tuple[int, ...], ParameterMatrix] = {}
     stats = {"classes_examined": 0, "perfect_classes": 0}
-    for base in _perfect_partitions(t, dset, k, stats, budget):
+    for base in _perfect_partitions(t, dset, k, stats, meter):
         stats["classes_examined"] += 1
         verdict = check_perfect(FiniteColoring(base, k), dset)
         if not verdict.is_perfect:
@@ -314,6 +302,7 @@ def enumerate_perfect_finite(
         (FiniteColoring(word, k), found[word]) for word in sorted(found)
     )
     stats["colorings"] = len(entries)
+    stats["units"] = meter.spent
     return EnumerationResult(entries, stats)
 
 
@@ -452,19 +441,17 @@ def candidate_matrices(
       conjugation, so the returned set is closed under it;
       enumerate_periodic_perfect searches one matrix per orbit.
 
-    The budget caps the number of support-symmetric matrices generated,
-    the work the pruning rules do, and is checked as they are generated.
+    The budget's unit is one support-symmetric matrix generated, the work
+    the pruning rules do.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
-    budget = resolve_budget(budget)
+    meter = WorkMeter(
+        budget, f"matrix generation for n={n}, k={k}", "support-symmetric matrices generated"
+    )
     kept = []
-    for generated, rows in enumerate(_support_symmetric(n, k), 1):
-        if generated > budget:
-            raise BudgetExceededError(
-                f"{generated} support-symmetric matrices generated for n={n}, k={k} "
-                f"pass the budget of {budget}"
-            )
+    for rows in _support_symmetric(n, k):
+        meter.spend()
         if _is_balanced(rows) and _has_parity_split(rows):
             kept.append(ParameterMatrix(rows))
     return tuple(kept)
@@ -560,7 +547,7 @@ def _tap_table(rows: tuple[tuple[int, ...], ...]) -> list[int | None]:
     return table
 
 
-def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], spent: list[int], budget: int):
+def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], meter: WorkMeter):
     """The consistent 4n-windows of one matrix that are prenecklaces, encoded.
 
     With a = c(2n-1) and b = c(2n), a consistent window holds r_a - e_b on
@@ -576,34 +563,23 @@ def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], spent: list[
     prenecklace stays one exactly when the digit at offset i is >= w[i-p];
     an equal digit keeps p, a greater one sets p = i+1.
 
-    spent[0] counts one unit per digit placed here; the caller adds each
-    walk's steps before asking for the next window.  BudgetExceededError is
-    raised as soon as the count passes the budget.
+    The meter is spent one unit per digit placed.
     """
     k = len(rows)
     length = 4 * n
     word = [0] * length
-
-    def exceeded() -> BudgetExceededError:
-        return BudgetExceededError(
-            f"periodic search for n={n}, k={k} spent {spent[0]} units (window digits "
-            f"placed plus steps walked), passing the budget of {budget}"
-        )
+    spend = meter.spend
 
     def extend(i: int, p: int, value: int):
         if i == length:
             yield value
-            if spent[0] > budget:
-                raise exceeded()
             return
         counts = pools[i]
         least = word[i - p] if i else 0
         for d in range(least, k):
             if not counts[d]:
                 continue
-            spent[0] += 1
-            if spent[0] > budget:
-                raise exceeded()
+            spend()
             word[i] = d
             counts[d] -= 1
             yield from extend(i + 1, p if d == least else i + 1, value * k + d)
@@ -631,7 +607,7 @@ def enumerate_periodic_perfect(
     Per searched matrix, each start of _prenecklace_windows is walked
     through the three-tap map, and each cycle is recorded from its least
     window (see the module docstring).  stats["states_followed"] counts the
-    steps walked.
+    steps walked and stats["units"] the budget units spent.
 
     The matrices (candidate_matrices by default) are grouped into S_k
     conjugacy orbits and only the least image of each orbit is searched.  A
@@ -641,14 +617,15 @@ def enumerate_periodic_perfect(
     matrices therefore restrict the output exactly as a search of each of
     them would, and must be k x k with every row summing to 2n.
 
-    The budget caps the work as it is spent: one unit per window digit
-    placed while generating the starts, plus each walk's steps, added when
-    the walk ends.  candidate_matrices counts the matrices it generates
-    under the same budget.
+    The budget's unit is one window digit placed while generating the
+    starts, plus each walk's steps, spent when the walk ends.
+    candidate_matrices counts the matrices it generates under the same budget.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
-    budget = resolve_budget(budget)
+    meter = WorkMeter(
+        budget, f"periodic search for n={n}, k={k}", "window digits placed plus steps walked"
+    )
     if matrices is None:
         matrices = candidate_matrices(n, k, budget)
     else:
@@ -676,10 +653,9 @@ def enumerate_periodic_perfect(
     top = k ** (4 * n - 1)  # weight of offset 0
     weight_a = k ** (2 * n)  # offset 2n-1
     weight_b = k ** (2 * n - 2)  # offset 2n+1
-    spent = [0]
     for rows, targets in orbits:
         step = _tap_table(rows)
-        for start in _prenecklace_windows(n, rows, spent, budget):
+        for start in _prenecklace_windows(n, rows, meter):
             window = start
             tail: list[int] = []  # forced digits; once back at start, one period
             while True:
@@ -698,8 +674,9 @@ def enumerate_periodic_perfect(
                                 found.setdefault(coloring.word, (coloring, target))
                     break
             stats["states_followed"] += len(tail)
-            spent[0] += len(tail)
+            meter.spend(len(tail))
 
     entries = tuple(found[w] for w in sorted(found))
     stats["colorings"] = len(entries)
+    stats["units"] = meter.spent
     return EnumerationResult(entries, stats)

@@ -210,6 +210,16 @@ class TestConstruct:
         assert code == 0
         assert len(text.splitlines()) == 24
 
+    def test_budget_reaches_the_matched_drivers(self, tmp_path, capsys):
+        # 2^5 monochrome assignments at t = 10; 6 per-edge assignments at (1, 2, 2)
+        two_color = ("construct", "--family", "two-color", "--n", "2", "--t", "10")
+        matched = ("construct", "--family", "matched", "--n", "1", "--t", "2", "--k", "2")
+        for argv, spent in ((two_color, 32), (matched, 6)):
+            assert run(tmp_path, *argv, "--budget", str(spent))[0] == 0
+            capsys.readouterr()
+            assert run(tmp_path, *argv, "--budget", str(spent - 1))[0] == 2
+            assert f"spent {spent} units" in capsys.readouterr().err
+
 
 class TestInduce:
     def test_happy_path(self, tmp_path):
@@ -312,6 +322,20 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "path", "--t", "6"),
+        ("construct", "--family", "path", "--budget", "5"),
+        ("construct", "--family", "balanced", "--n", "1", "--t", "4"),
+        ("construct", "--family", "two-color", "--n", "2", "--t", "10", "--k", "3"),
+    ],
+)
+def test_options_a_construct_family_does_not_read_are_rejected(argv, capsys):
+    assert main(list(argv)) == 2
+    assert f"usage error: {argv[-2]} " in capsys.readouterr().err
 
 
 def readme_cli_examples():

@@ -175,6 +175,19 @@ class TestDriverCompleteness:
             with pytest.raises(ValueError):
                 all_4n_colorings(n, k)
 
+    def test_matched_driver_budget(self):
+        # the budget counts per-edge assignments, spent per color split:
+        # 1 + 1 for the two bipartite splits of (1, 2, 2), 2 + 2 for the others
+        assert len(all_matched_colorings(1, 2, 2, budget=6)) == 2
+        with pytest.raises(BudgetExceededError):
+            all_matched_colorings(1, 2, 2, budget=5)
+        # 5^11 assignments for one split pass the default of 2^24 at once
+        with pytest.raises(BudgetExceededError, match="spent 48828125 units"):
+            all_matched_colorings(5, 22, 5)
+        for budget in (2.5, True, 0, -1, "x"):
+            with pytest.raises(ValueError):
+                all_matched_colorings(1, 2, 2, budget=budget)
+
     def test_matched_driver_doubled_edge(self):
         built = {c.word for c in all_matched_colorings(1, 2, 2)}
         assert built == brute_perfect_words(2, (1,), 2) == {(1, 2), (2, 1)}
@@ -217,6 +230,15 @@ class TestTwoColorCases:
         for t in (6, 10):
             words = {c.word for c in two_color_cases(2, t).all()}
             assert words == brute_perfect_words(t, (1, 3), 2), t
+
+    def test_budget(self):
+        # the budget counts the 2^m monochrome assignments over m = t/2 edges
+        assert len(two_color_cases(2, 6, budget=8).all()) == 8
+        with pytest.raises(BudgetExceededError):
+            two_color_cases(2, 6, budget=7)
+        for budget in (2.5, True, 0, -1, "x"):
+            with pytest.raises(ValueError):
+                two_color_cases(2, 6, budget=budget)
 
     def test_all_verify_perfect(self):
         for c in two_color_cases(2, 6).all():

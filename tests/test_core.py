@@ -4,18 +4,25 @@ import pytest
 
 import circulant_colorings
 from circulant_colorings import (
+    BudgetExceededError,
     DistanceSet,
     FiniteCirculant,
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    all_4n_colorings,
+    all_matched_colorings,
+    candidate_matrices,
     coloring_from_json,
     coloring_to_json,
+    enumerate_perfect_finite,
+    enumerate_periodic_perfect,
     least_rotation,
     make_odd_distance_set,
     neighbor_color_counts,
     neighbor_offsets,
     primitive_period,
+    two_color_cases,
     verify_covering,
 )
 from conftest import edge_multiset_adjacency, oracle_counts
@@ -245,6 +252,31 @@ class TestJsonRoundTrip:
                     "word": word, "distances": [1]}
             with pytest.raises(ValueError):
                 coloring_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "search, search_name, unit, spent, budget",
+    [
+        (lambda b: enumerate_perfect_finite(30, DistanceSet((1,)), 2, budget=b),
+         "finite search for t=30, k=2", "vertices colored plus k! per perfect partition", 384, 383),
+        (lambda b: candidate_matrices(1, 3, budget=b),
+         "matrix generation for n=1, k=3", "support-symmetric matrices generated", 26, 25),
+        (lambda b: enumerate_periodic_perfect(2, 2, budget=b),
+         "periodic search for n=2, k=2", "window digits placed plus steps walked", 440, 439),
+        (lambda b: all_4n_colorings(1, 2, budget=b),
+         "balanced driver for n=1, k=2", "part-word pairs", 16, 15),
+        (lambda b: all_matched_colorings(1, 2, 2, budget=b),
+         "matched driver for n=1, t=2, k=2", "per-edge assignments", 6, 5),
+        (lambda b: two_color_cases(2, 6, budget=b),
+         "two-color driver for n=2, t=6", "monochrome assignments", 8, 7),
+    ],
+)
+def test_every_search_refuses_in_the_one_budget_format(search, search_name, unit, spent, budget):
+    with pytest.raises(BudgetExceededError) as info:
+        search(budget)
+    assert str(info.value) == (
+        f"{search_name} spent {spent} units ({unit}), passing the budget of {budget}"
+    )
 
 
 class TestPublicSurface:

@@ -22,7 +22,7 @@ from circulant_colorings import (
     step_window,
     window_is_consistent,
 )
-from circulant_colorings.core import DEFAULT_BUDGET
+from circulant_colorings.core import WorkMeter
 from circulant_colorings.enumeration import (
     _has_parity_split,
     _is_balanced,
@@ -149,8 +149,10 @@ class TestEnumeratePerfectFinite:
         stats = result.stats
         assert set(stats) == {
             "classes_examined", "perfect_classes", "colorings",
-            "nodes_visited", "pruned_closed", "pruned_bound",
+            "nodes_visited", "pruned_closed", "pruned_bound", "units",
         }
+        # the units spent are the least budget the search passes
+        assert stats["units"] == 100_732
         # the scan checked all 788,970 partitions; the search reaches only
         # the 497 perfect ones, and both rules cut
         assert stats["classes_examined"] == stats["perfect_classes"] == 497
@@ -341,7 +343,8 @@ class TestThreeTapEngine:
             windows = list(itertools.product(range(1, k + 1), repeat=4 * n))
             for matrix in candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
-                generated = _prenecklace_windows(n, matrix.rows, [0], DEFAULT_BUDGET)
+                meter = WorkMeter(None, "prenecklace windows", "window digits placed")
+                generated = _prenecklace_windows(n, matrix.rows, meter)
                 starts = [_decode(w, n, k) for w in generated]
                 assert len(starts) == len(set(starts)), (n, k, matrix)
                 expected = {
@@ -456,12 +459,16 @@ class TestEnumeratePeriodicPerfect:
         # the search of (1, 4) spends 105 units, but candidate_matrices
         # generates 176 support-symmetric matrices
         assert len(enumerate_periodic_perfect(1, 4, budget=176).entries) == 54
-        with pytest.raises(BudgetExceededError, match="176 support-symmetric"):
+        with pytest.raises(BudgetExceededError, match="spent 176 units .support-symmetric"):
             enumerate_periodic_perfect(1, 4, budget=175)
         given = candidate_matrices(1, 4)
         assert len(enumerate_periodic_perfect(1, 4, matrices=given, budget=105).entries) == 54
         with pytest.raises(BudgetExceededError, match="units .window digits placed"):
             enumerate_periodic_perfect(1, 4, matrices=given, budget=104)
+
+    def test_stats_report_the_units_spent(self):
+        # the units spent are the least budget the search passes
+        assert enumerate_periodic_perfect(2, 2).stats["units"] == 440
 
     def test_rejects_invalid_matrices(self):
         with pytest.raises(ValueError):
