@@ -138,6 +138,8 @@ def _parse_symmetry(text: str | None, default: str) -> tuple[bool, bool, bool]:
 
 
 def _cmd_verify(args) -> int:
+    if args.infinite and args.t is not None:
+        raise UsageError("--t is not read by verify --infinite")
     coloring, dset = _load_coloring(args)
     verdict = check_perfect(coloring, dset)
     if args.format == "json":
@@ -154,6 +156,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     started = time.perf_counter()
+    mode = "enumerate --infinite" if args.infinite else "finite enumeration"
+    for option in ("t", "distances") if args.infinite else ("n",):
+        if getattr(args, option) is not None:
+            raise UsageError(f"--{option} is not read by {mode}")
     if args.infinite:
         if args.n is None:
             raise UsageError("--infinite enumeration needs --n")

@@ -18,6 +18,7 @@ only for rendering.  Every type here is immutable and every function is pure.
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 Color = int
 # Incidence counts per color; index = color - 1.
@@ -174,7 +175,15 @@ def primitive_period(word: tuple) -> tuple:
 
 
 def least_rotation(word: tuple) -> tuple:
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    """The lexicographically least rotation of a nonempty word.
+
+    The least rotation begins with the word's least letter, and a rotation
+    that begins with any other letter is greater than every rotation that
+    begins with it, so only the rotations starting at an occurrence of the
+    least letter are compared.
+    """
+    least = min(word)
+    return min(word[i:] + word[:i] for i, c in enumerate(word) if c == least)
 
 
 @dataclass(frozen=True)
@@ -258,13 +267,26 @@ class ParameterMatrix:
         return tuple(sum(row) for row in self.rows)
 
     def relabeled(self, new_color_of: tuple[int, ...]) -> "ParameterMatrix":
-        """Conjugate by the color bijection old -> new_color_of[old-1]."""
+        """Conjugate by the color bijection old -> new_color_of[old-1].
+
+        Entry (new_color_of[i], new_color_of[j]) of the result is entry
+        (i, j) here, so the result is read off through the inverse
+        permutation.  Conjugation keeps the matrix square with nonnegative
+        int entries, so the constructor's validation is not run again; a
+        new_color_of that is not a permutation of 1..k raises ValueError.
+        """
         k = self.k
-        out = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                out[new_color_of[i] - 1][new_color_of[j] - 1] = self.rows[i][j]
-        return ParameterMatrix(tuple(tuple(row) for row in out))
+        if set(map(type, new_color_of)) != {int} or sorted(new_color_of) != list(range(1, k + 1)):
+            raise ValueError(f"relabeling must be a permutation of 1..{k}: {new_color_of!r}")
+        if k == 1:  # the identity; itemgetter of one index returns no tuple
+            return self
+        old_of = [0] * k
+        for old, new in enumerate(new_color_of):
+            old_of[new - 1] = old
+        pick = itemgetter(*old_of)
+        conjugate = object.__new__(ParameterMatrix)
+        object.__setattr__(conjugate, "rows", tuple(map(pick, pick(self.rows))))
+        return conjugate
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]

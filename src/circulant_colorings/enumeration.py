@@ -2,7 +2,10 @@
 
 Finite graphs are searched by color-class partition: perfection is invariant
 under any bijective recoloring, so it is decided once per partition of the
-vertices and the perfect classes are expanded through all k! labelings.  The
+vertices.  Rotations and reflections are automorphisms of Ci_t(D), so the
+perfect partitions fall into symmetry classes whose members have one set of
+reduced images; each class is expanded through the k! labelings once, and a
+later partition whose image is already covered is skipped.  The
 partitions (restricted growth strings with exactly k classes) are searched
 depth first, coloring vertices 0..t-1 in turn, and two rules prune a prefix
 as soon as no completion can be perfect: a vertex whose closed neighborhood
@@ -17,7 +20,7 @@ representative keeps the matrix of the labeling it came from.
 
 Every search spends its budget through one core.WorkMeter, in its own
 unit: the finite search counts vertices colored plus k! per perfect
-partition expanded, candidate_matrices the support-symmetric matrices it
+partition, candidate_matrices the support-symmetric matrices it
 generates, and the periodic search the window digits it places while
 generating its starts plus the steps it walks.
 
@@ -168,7 +171,7 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: W
     colored), pruned_closed and pruned_bound (nodes each rule cut off).
 
     The meter is spent one unit per vertex colored and k! per leaf, the
-    labelings its partition expands into, so the count also bounds the
+    labelings of its partition, so the count also bounds the
     colorings the caller keeps.
     """
     offsets = neighbor_offsets(dset, t)
@@ -257,10 +260,28 @@ def enumerate_perfect_finite(
     growth strings, pruned by the closed and bound rules of
     _perfect_partitions as neighborhoods close; each partition that survives
     to a leaf is checked once with check_perfect, whose verdict decides it
-    and whose matrix, relabeled, every coloring reported carries.  The
-    budget's unit is one vertex colored (nodes_visited) plus k! per perfect
-    partition expanded, which is at least the number of labeled colorings
-    kept, so it bounds memory too.
+    and whose matrix, relabeled, every coloring reported carries.
+
+    A labeling's image is its least word under the position symmetries the
+    flags choose (rotations, the reversal, both or neither), and a perfect
+    partition B's class is its images under those symmetries.  Each class
+    is expanded once: the first partition of a class reduces all k! of its
+    labelings, and a later perfect partition is skipped once the image of
+    one of its labelings is already covered.  Soundness: rotations and
+    reflections are automorphisms of Ci_t(D), so the set of perfect
+    partitions is closed under them.  If sigma o g . B = g' . B' for a
+    recoloring sigma and position symmetries g, g', then B' = g'^-1 g . B as
+    a partition, so B' lies in the class of B and every labeling of B' is a
+    position image of a labeling of B: the two have one set of images, and
+    the skip loses none.  A perfect coloring's matrix is a function of its
+    word and automorphisms keep it, so the relabeled class matrix of the
+    first labeling reaching an image is that image's matrix.  With
+    color_permutation only each class's least image is kept, and the covered
+    images are held apart; otherwise the images found are the covered ones.
+
+    The budget's unit is one vertex colored (nodes_visited) plus k! per perfect
+    partition, whether its class is expanded or skipped, which is at least
+    the number of labeled colorings kept, so it bounds memory too.
 
     stats:
       classes_examined -- leaves reached, one check_perfect each;
@@ -277,7 +298,17 @@ def enumerate_perfect_finite(
     meter = WorkMeter(
         budget, f"finite search for t={t}, k={k}", "vertices colored plus k! per perfect partition"
     )
+    labelings = tuple(permutations(range(1, k + 1)))
+
+    def least_image(word: tuple[int, ...]) -> tuple[int, ...]:
+        # finite words keep their length: no primitive reduction
+        images = _images(word, reflection, False)
+        return min(map(least_rotation, images) if rotation else images)
+
     found: dict[tuple[int, ...], ParameterMatrix] = {}
+    # The images of the classes expanded so far; found keeps only each
+    # class's least image when colors fold, and every image otherwise.
+    covered = set() if color_permutation else found
     stats = {"classes_examined": 0, "perfect_classes": 0}
     for base in _perfect_partitions(t, dset, k, stats, meter):
         stats["classes_examined"] += 1
@@ -285,19 +316,18 @@ def enumerate_perfect_finite(
         if not verdict.is_perfect:
             continue
         stats["perfect_classes"] += 1
-        # Least rotation/reflection image of each labeling (finite words keep
-        # their length: no primitive reduction), with a recoloring producing it.
+        if least_image(base) in covered:
+            continue  # its symmetry class is expanded already
+        # Each image of the class, with a recoloring of base producing it.
         images: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for target in permutations(range(1, k + 1)):
-            relabeled = _images(tuple(target[c - 1] for c in base), reflection, False)
-            image = min(map(least_rotation, relabeled) if rotation else relabeled)
-            images.setdefault(image, target)
+        for target in labelings:
+            images.setdefault(least_image(tuple(target[c - 1] for c in base)), target)
         if color_permutation:
+            covered.update(images)
             least = min(images)
             images = {least: images[least]}
         for image, target in images.items():
-            if image not in found:
-                found[image] = verdict.matrix.relabeled(target)
+            found[image] = verdict.matrix.relabeled(target)
     entries = tuple(
         (FiniteColoring(word, k), found[word]) for word in sorted(found)
     )

@@ -338,6 +338,20 @@ def test_options_a_construct_family_does_not_read_are_rejected(argv, capsys):
     assert f"usage error: {argv[-2]} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--t", "6", "--distances", "1,3", "--k", "2", "--n", "9"),
+        ("enumerate", "--infinite", "--n", "1", "--k", "2", "--t", "99"),
+        ("enumerate", "--infinite", "--n", "1", "--k", "2", "--distances", "5"),
+        ("verify", "--infinite", "--distances", "1,3", "--coloring", "1,2", "--t", "7"),
+    ],
+)
+def test_options_a_mode_does_not_read_are_rejected(argv, capsys):
+    assert main(list(argv)) == 2
+    assert f"usage error: {argv[-2]} " in capsys.readouterr().err
+
+
 def readme_cli_examples():
     """The commands in the sh block under the README's "## Command line"."""
     text = (Path(__file__).parent.parent / "README.md").read_text()

@@ -1,5 +1,8 @@
 """Domain model: distance sets, graphs, colorings, matrices, JSON."""
 
+import itertools
+import random
+
 import pytest
 
 import circulant_colorings
@@ -140,6 +143,15 @@ class TestWordNormalization:
         assert least_rotation((3, 1, 2)) == (1, 2, 3)
         assert least_rotation((1,)) == (1,)
 
+    def test_least_rotation_matches_every_rotation(self):
+        # only rotations starting at the least letter are compared; the
+        # oracle compares them all
+        rng = random.Random(20261019)
+        for _ in range(500):
+            k = rng.randint(1, 4)
+            word = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 12)))
+            assert least_rotation(word) == min(word[i:] + word[:i] for i in range(len(word)))
+
     def test_periodic_coloring_canonicalizes(self):
         a = PeriodicColoring((2, 1, 2, 2, 1, 2), 2)
         assert a.word == (1, 2, 2)
@@ -210,6 +222,32 @@ class TestParameterMatrix:
         m = ParameterMatrix(((3, 1), (2, 2)))
         swapped = m.relabeled((2, 1))
         assert swapped.rows == ((2, 2), (1, 3))
+
+    def test_relabeled_matches_explicit_conjugation(self):
+        # relabeled skips the constructor's validation; the oracle builds
+        # each conjugate entry by entry through the validated constructor
+        rng = random.Random(20261019)
+        for k in (1, 2, 4):
+            for _ in range(5):
+                rows = tuple(tuple(rng.randint(0, 5) for _ in range(k)) for _ in range(k))
+                matrix = ParameterMatrix(rows)
+                for target in itertools.permutations(range(1, k + 1)):
+                    out = [[0] * k for _ in range(k)]
+                    for i, j in itertools.product(range(k), repeat=2):
+                        out[target[i] - 1][target[j] - 1] = rows[i][j]
+                    conjugate = matrix.relabeled(target)
+                    assert conjugate == ParameterMatrix(out), (rows, target)
+                    assert hash(conjugate) == hash(ParameterMatrix(out))
+                    # row c of the conjugate is the row of the color sent to c
+                    assert conjugate.row_sums() == tuple(
+                        matrix.row_sums()[target.index(c)] for c in range(1, k + 1)
+                    )
+
+    def test_relabeled_rejects_non_permutations(self):
+        matrix = ParameterMatrix(((1, 2), (3, 4)))
+        for bad in ((1, 1), (1,), (1, 2, 3), (0, 1), (2, 3), (True, 2), (2.0, 1), ("a", 1)):
+            with pytest.raises(ValueError):
+                matrix.relabeled(bad)
 
     def test_to_lists(self):
         assert ParameterMatrix(((0, 2), (2, 0))).to_lists() == [[0, 2], [2, 0]]

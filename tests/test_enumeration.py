@@ -22,7 +22,8 @@ from circulant_colorings import (
     step_window,
     window_is_consistent,
 )
-from circulant_colorings.core import WorkMeter
+from circulant_colorings import enumeration
+from circulant_colorings.core import WorkMeter, least_rotation
 from circulant_colorings.enumeration import (
     _has_parity_split,
     _is_balanced,
@@ -143,6 +144,38 @@ class TestEnumeratePerfectFinite:
                 result = enumerate_perfect_finite(t, dset, k, **flags)
                 oracle = scan_perfect_finite(t, dset, k, **flags)
                 assert result.entries == oracle.entries, (t, dists, k, flags)
+
+    @pytest.mark.parametrize(
+        "t, k, settings",
+        [(10, 5, FLAG_SETTINGS), (8, 7, tuple(f for f in FLAG_SETTINGS if f[0]))],
+    )
+    def test_five_and_seven_colors_match_partition_scan(self, t, k, settings):
+        for rotation, reflection, colors in settings:
+            flags = dict(rotation=rotation, reflection=reflection, color_permutation=colors)
+            result = enumerate_perfect_finite(t, D2, k, **flags)
+            assert result.entries == scan_perfect_finite(t, D2, k, **flags).entries, flags
+
+    def test_each_symmetry_class_expanded_once(self, monkeypatch):
+        # the 12 perfect partitions of (8, D_2, 7) fall into 2 rotation
+        # classes: one least rotation per partition for the covered check,
+        # then 7! per class, not 7! per partition
+        calls = []
+
+        def counting(word):
+            calls.append(word)
+            return least_rotation(word)
+
+        monkeypatch.setattr(enumeration, "least_rotation", counting)
+        result = enumerate_perfect_finite(8, D2, 7, rotation=True)
+        assert result.stats["perfect_classes"] == 12
+        assert len(calls) == 12 + 2 * 5040
+        assert result.stats["colorings"] == len(result.entries) == 7560
+        assert result.stats["units"] == 60_559
+        monkeypatch.undo()
+        flags = dict(rotation=True, reflection=True, color_permutation=True)
+        result = enumerate_perfect_finite(12, make_odd_distance_set(3), 4, **flags)
+        assert len(result.entries) == 594
+        assert result.stats["units"] == 562_169
 
     def test_pruning_stats(self):
         result = enumerate_perfect_finite(14, make_odd_distance_set(3), 3)
