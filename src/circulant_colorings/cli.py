@@ -97,6 +97,13 @@ def _load_coloring(args):
     coloring, dset = coloring_from_json(data)
     if args.distances is not None and _parse_distances(args.distances) != dset:
         raise UsageError("--distances conflicts with the distances stored in the file")
+    if args.k is not None and args.k != coloring.k:
+        raise UsageError(f"--k {args.k} conflicts with k={coloring.k} stored in the file")
+    finite = isinstance(coloring, FiniteColoring)
+    if getattr(args, "infinite", False) and finite:
+        raise UsageError("--infinite conflicts with the finite coloring stored in the file")
+    if getattr(args, "t", None) is not None and not (finite and args.t == coloring.t):
+        raise UsageError(f"--t {args.t} does not match the {data['kind']} coloring in the file")
     return coloring, dset
 
 

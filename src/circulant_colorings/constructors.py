@@ -189,14 +189,22 @@ def construct_matched(
                 raise ValueError(f"colors {(x, y)} are not a swap pair of the split")
             assignment[edge_a] = (x, y)
             assignment[edge_b] = (y, x)
+    return FiniteColoring(_matched_word(t, [assignment[e] for e in range(step)]), k)
 
+
+def _matched_word(t: int, pairs) -> tuple[int, ...]:
+    """The word of Ci_t(D_n) whose matching edge i has colors pairs[i].
+
+    pairs[i] is (even endpoint color, odd endpoint color) for edge
+    {i, i + t/2}; t/2 is odd, so the two endpoints differ in parity.
+    """
+    step = t // 2
     word = [0] * t
-    for edge, (even_color, odd_color) in assignment.items():
-        u, v = edge, edge + step
-        even_end, odd_end = (u, v) if u % 2 == 0 else (v, u)
+    for u, (even_color, odd_color) in enumerate(pairs):
+        even_end, odd_end = (u, u + step) if u % 2 == 0 else (u + step, u)
         word[even_end] = even_color
         word[odd_end] = odd_color
-    return FiniteColoring(tuple(word), k)
+    return tuple(word)
 
 
 def _pair_partitions(colors: tuple[int, ...]):
@@ -215,36 +223,24 @@ def all_matched_colorings(
 ) -> tuple[FiniteColoring, ...]:
     """Every perfect k-coloring of Ci_t(D_n) for t = 4n+-2, via split drivers.
 
-    Enumerates all color splits, then all per-edge assignments that use every
-    color and keep the two orientations of each swap pair equinumerous (the
-    pairing of C2 edges); bipartite splits need every color pair on at least
-    one edge.  Results are deduplicated as words.  The budget's unit is one
+    Enumerates all color splits, each as its allowed (even end, odd end)
+    pairs, then all per-edge assignments that use every pair and give the
+    two orientations of each swap pair equally many edges (the pairing of C2
+    edges).  Results are deduplicated as words.  The budget's unit is one
     per-edge assignment scanned, spent for each split before its scan.
     """
     n_edges = _matched_graph(n, t)
     require_positive_int("k", k)
     meter = WorkMeter(budget, f"matched driver for n={n}, t={t}, k={k}", "per-edge assignments")
     colors = tuple(range(1, k + 1))
-    found: dict[tuple[int, ...], FiniteColoring] = {}
-
+    # Each split as (its allowed (even, odd) pairs, its swap pairs).
+    splits = []
     # Bipartite splits need |C_e| = |C_o|, so k must be even.
     if k % 2 == 0:
         for partition in _pair_partitions(colors):
             for orientation in product((0, 1), repeat=len(partition)):
-                pairs = tuple(
-                    (p[o], p[1 - o]) for p, o in zip(partition, orientation)
-                )
-                split = ColorSplit(k, bipartite_pairs=pairs)
-                meter.spend(len(pairs) ** n_edges)
-                for choice in product(pairs, repeat=n_edges):
-                    if set(choice) != set(pairs):
-                        continue
-                    msplit = MatchingSplit(
-                        bipartite=tuple((e, ce, co) for e, (ce, co) in enumerate(choice))
-                    )
-                    coloring = construct_matched(n, t, k, split, msplit)
-                    found.setdefault(coloring.word, coloring)
-
+                pairs = tuple((p[o], p[1 - o]) for p, o in zip(partition, orientation))
+                splits.append((pairs, ()))
     # Non-bipartite splits: C1 monochrome, C2 paired up.
     for mono_mask in product((False, True), repeat=k):
         mono = tuple(c for c, m in zip(colors, mono_mask) if m)
@@ -252,36 +248,22 @@ def all_matched_colorings(
         if len(paired) % 2 != 0:
             continue
         for partition in _pair_partitions(paired):
-            split = ColorSplit(k, monochrome=frozenset(mono), swap_pairs=partition)
-            labels: list[tuple] = [("m", c) for c in mono]
-            for x, y in partition:
-                labels.append(("s", (x, y)))
-                labels.append(("s", (y, x)))
-            meter.spend(len(labels) ** n_edges)
-            for choice in product(labels, repeat=n_edges):
-                if any(("m", c) not in choice for c in mono):
-                    continue
-                ok = True
-                for x, y in partition:
-                    forward = choice.count(("s", (x, y)))
-                    backward = choice.count(("s", (y, x)))
-                    if forward != backward or forward == 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                mono_edges = tuple(
-                    (e, lab[1]) for e, lab in enumerate(choice) if lab[0] == "m"
-                )
-                swaps = []
-                for x, y in partition:
-                    fwd = [e for e, lab in enumerate(choice) if lab == ("s", (x, y))]
-                    bwd = [e for e, lab in enumerate(choice) if lab == ("s", (y, x))]
-                    swaps += [(a, b, x, y) for a, b in zip(fwd, bwd)]
-                msplit = MatchingSplit(monochrome=mono_edges, swaps=tuple(swaps))
-                coloring = construct_matched(n, t, k, split, msplit)
-                found.setdefault(coloring.word, coloring)
+            pairs = tuple((c, c) for c in mono)
+            pairs += tuple(p for x, y in partition for p in ((x, y), (y, x)))
+            splits.append((pairs, partition))
 
+    found: dict[tuple[int, ...], FiniteColoring] = {}
+    for pairs, swaps in splits:
+        meter.spend(len(pairs) ** n_edges)
+        everything = set(pairs)
+        for choice in product(pairs, repeat=n_edges):
+            if set(choice) != everything or any(
+                choice.count((x, y)) != choice.count((y, x)) for x, y in swaps
+            ):
+                continue
+            word = _matched_word(t, choice)
+            if word not in found:
+                found[word] = FiniteColoring(word, k)
     return tuple(found[w] for w in sorted(found))
 
 
@@ -332,18 +314,12 @@ def two_color_cases(n: int, t: int, budget: int | None = None) -> TwoColorCases:
     n_edges = _matched_graph(n, t)
     meter = WorkMeter(budget, f"two-color driver for n={n}, t={t}", "monochrome assignments")
     meter.spend(2**n_edges)
-    split = ColorSplit(2, monochrome=frozenset((1, 2)))
-    mono = []
-    for assignment in product((1, 2), repeat=n_edges):
-        if len(set(assignment)) != 2:
-            continue
-        msplit = MatchingSplit(monochrome=tuple(enumerate(assignment)))
-        mono.append(construct_matched(n, t, 2, split, msplit))
-    bip = []
-    for pair in ((1, 2), (2, 1)):
-        split = ColorSplit(2, bipartite_pairs=(pair,))
-        msplit = MatchingSplit(bipartite=tuple((e, *pair) for e in range(n_edges)))
-        bip.append(construct_matched(n, t, 2, split, msplit))
+    mono = [
+        FiniteColoring(_matched_word(t, [(c, c) for c in assignment]), 2)
+        for assignment in product((1, 2), repeat=n_edges)
+        if len(set(assignment)) == 2
+    ]
+    bip = [FiniteColoring(_matched_word(t, [pair] * n_edges), 2) for pair in ((1, 2), (2, 1))]
     return TwoColorCases(tuple(mono), tuple(bip))
 
 

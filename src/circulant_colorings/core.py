@@ -166,12 +166,13 @@ class FiniteColoring:
 
 
 def primitive_period(word: tuple) -> tuple:
-    """The shortest prefix whose repetition equals the word."""
+    """The shortest prefix whose repetition equals the nonempty word."""
     length = len(word)
-    for p in range(1, length + 1):
-        if length % p == 0 and word == word[:p] * (length // p):
-            return word[:p]
-    raise AssertionError("unreachable: the word is its own period")
+    if not length:
+        raise ValueError("a word must be nonempty to have a period")
+    return next(
+        word[:p] for p in range(1, length + 1) if length % p == 0 and word == word[:p] * (length // p)
+    )
 
 
 def least_rotation(word: tuple) -> tuple:

@@ -39,9 +39,9 @@ the vertex at 2n+1 sees r_{c(2n-1)} - e_{c(0)} inside the window and needs
 r_{c(2n+1)}.  _forced_color(row, known) is the only step rule: row and
 known sum to 2n and 2n-1, so the deficits row - known sum to 1, and either
 one is negative (no extension is consistent) or exactly one is 1 and that
-color is forced.  Per matrix the rule is tabulated once over its k^3 taps,
-so a step is one lookup, and the 4n-1-long windows of Automaton and
-step_window are the same rule seen from the vertex at 2n+1.
+color is forced.  Per matrix the rule is tabulated once over its k^3 taps
+(Automaton.table), so a step is one lookup: step_window takes it on one
+window, and the search walks the same table.
 
 Perfect colorings are precisely the cycles of this map on consistent
 windows, and the map is injective there: the same identity recovers
@@ -76,6 +76,7 @@ The stats key matrices_tried counts those orbit representatives.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 from operator import gt
@@ -93,7 +94,7 @@ from .core import (
 )
 from .perfection import check_perfect
 
-# A window of 4n-1 consecutive colors, the automaton's state.
+# A window of 4n consecutive colors, the automaton's state.
 WindowState = tuple[int, ...]
 
 Entry = tuple[FiniteColoring | PeriodicColoring, ParameterMatrix]
@@ -491,10 +492,11 @@ def candidate_matrices(
 class Automaton:
     """Forced-extension automaton for perfect colorings of Ci(D_n).
 
-    Its public single step works on windows of 4n-1 consecutive colors.  A
-    window is consistent when its center vertex (offset 2n-1, whose
-    neighborhood lies entirely inside the window) sees exactly its matrix
-    row.
+    Its state is a window of 4n consecutive colors, the window the periodic
+    search walks.  A window is consistent when its two middle vertices see
+    exactly their matrix rows: the vertex at offset 2n-1 sees the even
+    offsets and the vertex at 2n the odd ones.  table is the forced-color
+    rule tabulated over the taps by _tap_table, built on first use.
     """
 
     n: int
@@ -511,29 +513,39 @@ class Automaton:
 
     @property
     def window_length(self) -> int:
-        return 4 * self.n - 1
+        return 4 * self.n
 
-    @property
-    def center(self) -> int:
-        return 2 * self.n - 1
-
-
-def _seen_counts(window: WindowState, v: int, n: int, k: int) -> tuple[int, ...]:
-    """Color counts over the neighbors of offset v that lie inside the window."""
-    counts = [0] * k
-    for d in range(1, 2 * n, 2):
-        for p in (v - d, v + d):
-            if 0 <= p < len(window):
-                counts[window[p] - 1] += 1
-    return tuple(counts)
+    @cached_property
+    def table(self) -> list[int | None]:
+        return _tap_table(self.matrix.rows)
 
 
 def window_is_consistent(automaton: Automaton, window: WindowState) -> bool:
-    """Whether the window's center vertex sees exactly its matrix row."""
+    """Whether the even offsets count r_c(2n-1) and the odd offsets count r_c(2n)."""
+    k, middle = automaton.k, 2 * automaton.n
     if len(window) != automaton.window_length:
         raise ValueError(f"window must have length {automaton.window_length}")
-    counts = _seen_counts(window, automaton.center, automaton.n, automaton.k)
-    return counts == automaton.matrix.rows[window[automaton.center] - 1]
+    if any(type(c) is not int or not 1 <= c <= k for c in window):
+        raise ValueError(f"window colors must be integers in 1..{k}: {window!r}")
+    rows, colors = automaton.matrix.rows, range(1, k + 1)
+    return (
+        tuple(map(window[0::2].count, colors)) == rows[window[middle - 1] - 1]
+        and tuple(map(window[1::2].count, colors)) == rows[window[middle] - 1]
+    )
+
+
+def step_window(automaton: Automaton, window: WindowState) -> int | None:
+    """The color forced at offset 4n, or None if no extension is consistent.
+
+    The window must be consistent; the step is one lookup of automaton.table
+    on the taps (c(2n-1), c(2n+1), c(0)).
+    """
+    if not window_is_consistent(automaton, window):
+        raise ValueError(f"window {window!r} is not consistent with the matrix")
+    k, middle = automaton.k, 2 * automaton.n
+    a, b, o = (window[i] - 1 for i in (middle - 1, middle + 1, 0))
+    forced = automaton.table[(a * k + b) * k + o]
+    return None if forced is None else forced + 1
 
 
 def _forced_color(row: tuple[int, ...], known: tuple[int, ...]) -> int | None:
@@ -542,15 +554,6 @@ def _forced_color(row: tuple[int, ...], known: tuple[int, ...]) -> int | None:
     if min(deficits) < 0:
         return None
     return deficits.index(1) + 1
-
-
-def step_window(automaton: Automaton, window: WindowState) -> int | None:
-    """The forced color one step past the window, or None if none is consistent."""
-    if len(window) != automaton.window_length:
-        raise ValueError(f"window must have length {automaton.window_length}")
-    # The vertex at offset 2n sees all its neighbors but the one at 4n-1.
-    known = _seen_counts(window, 2 * automaton.n, automaton.n, automaton.k)
-    return _forced_color(automaton.matrix.rows[window[2 * automaton.n] - 1], known)
 
 
 # The engine encodes a 4n-window as the base-k integer whose digits, most
@@ -635,9 +638,9 @@ def enumerate_periodic_perfect(
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
     Per searched matrix, each start of _prenecklace_windows is walked
-    through the three-tap map, and each cycle is recorded from its least
-    window (see the module docstring).  stats["states_followed"] counts the
-    steps walked and stats["units"] the budget units spent.
+    through the matrix's Automaton.table, and each cycle is recorded from
+    its least window (see the module docstring).  stats["states_followed"]
+    counts the steps walked and stats["units"] the budget units spent.
 
     The matrices (candidate_matrices by default) are grouped into S_k
     conjugacy orbits and only the least image of each orbit is searched.  A
@@ -676,16 +679,16 @@ def enumerate_periodic_perfect(
         images = [(p, representative.relabeled(p)) for p in recolorings]
         searched.update(image.rows for _, image in images)
         targets = [(p, given[image.rows]) for p, image in images if image.rows in given]
-        orbits.append((representative.rows, targets))
+        orbits.append((representative, targets))
 
     found: dict[tuple[int, ...], Entry] = {}
     stats = {"matrices_tried": len(orbits), "states_followed": 0, "cycles_found": 0}
     top = k ** (4 * n - 1)  # weight of offset 0
     weight_a = k ** (2 * n)  # offset 2n-1
     weight_b = k ** (2 * n - 2)  # offset 2n+1
-    for rows, targets in orbits:
-        step = _tap_table(rows)
-        for start in _prenecklace_windows(n, rows, meter):
+    for representative, targets in orbits:
+        step = Automaton(n, k, representative).table
+        for start in _prenecklace_windows(n, representative.rows, meter):
             window = start
             tail: list[int] = []  # forced digits; once back at start, one period
             while True:

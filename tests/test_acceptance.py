@@ -226,9 +226,9 @@ def test_criterion_11_window_determinism(periodic_k2):
     with criterion(11, "every window of every enumerated coloring replays it exactly "
                        "for three periods, n=1..3"):
         for n in (1, 2, 3):
-            length = 4 * n - 1
             for coloring, matrix in periodic_k2[n].entries:
                 automaton = Automaton(n, 2, matrix)
+                length = automaton.window_length
                 period = coloring.period
                 for phase in range(period):
                     window = tuple(coloring.color_at(phase + i) for i in range(length))

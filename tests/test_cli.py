@@ -9,6 +9,7 @@ import pytest
 from circulant_colorings import (
     DistanceSet,
     FiniteColoring,
+    PeriodicColoring,
     canonical_form,
     coloring_to_json,
     enumerate_perfect_finite,
@@ -89,6 +90,24 @@ class TestVerify:
             path.write_text(json.dumps({**data, field: value}))
             code, _ = run(tmp_path, "verify", "--coloring", str(path))
             assert code == 2, field
+
+    @pytest.mark.parametrize("options", [("--t", "99"), ("--k", "7"), ("--infinite",)])
+    def test_file_options_must_agree_with_the_file(self, tmp_path, capsys, options):
+        path = tmp_path / "coloring.json"
+        data = coloring_to_json(FiniteColoring((1, 2) * 4, 2), DistanceSet((1, 3)))
+        path.write_text(json.dumps(data))
+        assert run(tmp_path, "verify", "--coloring", str(path), "--t", "8", "--k", "2")[0] == 0
+        code, _ = run(tmp_path, "verify", "--coloring", str(path), *options)
+        assert code == 2
+        assert "usage error: --" in capsys.readouterr().err
+
+    def test_periodic_file_has_no_vertex_count(self, tmp_path, capsys):
+        path = tmp_path / "coloring.json"
+        data = coloring_to_json(PeriodicColoring((1, 2), 2), DistanceSet((1, 3)))
+        path.write_text(json.dumps(data))
+        assert run(tmp_path, "verify", "--coloring", str(path), "--infinite")[0] == 0
+        assert run(tmp_path, "verify", "--coloring", str(path), "--t", "2")[0] == 2
+        assert "usage error: --t 2 " in capsys.readouterr().err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

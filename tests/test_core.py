@@ -138,6 +138,10 @@ class TestWordNormalization:
         assert primitive_period((1, 2, 3)) == (1, 2, 3)
         assert primitive_period((1, 2, 2, 1, 2, 2)) == (1, 2, 2)
 
+    def test_empty_word_has_no_period(self):
+        with pytest.raises(ValueError):
+            primitive_period(())
+
     def test_least_rotation(self):
         assert least_rotation((2, 1, 2)) == (1, 2, 2)
         assert least_rotation((3, 1, 2)) == (1, 2, 3)

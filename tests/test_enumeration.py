@@ -69,6 +69,11 @@ class TestCanonicalForm:
         assert canonical_form((2, 1, 2)) == (1, 2, 2)
         assert canonical_form((1, 2, 1, 2)) == (1, 2)
 
+    def test_empty_word_rejected(self):
+        for flags in ({}, {"reflection": True, "color_permutation": True}):
+            with pytest.raises(ValueError):
+                canonical_form((), **flags)
+
     def test_reflection(self):
         assert canonical_form((1, 2, 2, 3)) == (1, 2, 2, 3)
         assert canonical_form((1, 2, 2, 3), reflection=True) == (1, 2, 2, 3)
@@ -314,8 +319,8 @@ class TestCandidateMatrices:
 class TestAutomaton:
     def test_geometry(self):
         auto = Automaton(2, 2, ParameterMatrix(((0, 4), (4, 0))))
-        assert auto.window_length == 7
-        assert auto.center == 3
+        assert auto.window_length == 8
+        assert auto.table == _tap_table(auto.matrix.rows)
 
     def test_rejects_wrong_row_sums(self):
         with pytest.raises(ValueError):
@@ -330,25 +335,39 @@ class TestAutomaton:
 
     def test_consistency_simple(self):
         auto = Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0))))
-        assert window_is_consistent(auto, (1, 2, 1))
-        assert window_is_consistent(auto, (2, 1, 2))
-        assert not window_is_consistent(auto, (1, 1, 2))
-        assert consistent_windows(auto) == ((1, 2, 1), (2, 1, 2))
+        assert window_is_consistent(auto, (1, 2, 1, 2))
+        assert window_is_consistent(auto, (2, 1, 2, 1))
+        assert not window_is_consistent(auto, (1, 1, 2, 2))
+        assert consistent_windows(auto) == ((1, 2, 1, 2), (2, 1, 2, 1))
 
     def test_step_forces_unique_color(self):
         auto = Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0))))
-        assert step_window(auto, (1, 2, 1)) == 2
-        assert step_window(auto, (2, 1, 2)) == 1
+        assert step_window(auto, (1, 2, 1, 2)) == 1
+        assert step_window(auto, (2, 1, 2, 1)) == 2
 
     def test_step_detects_dead_end(self):
-        # centered vertex needs two color-2 neighbors but already sees color 1
-        auto = Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0))))
-        assert step_window(auto, (2, 1, 1)) is None
+        # the vertex at offset 3 needs two color-2 neighbors but already sees color 1
+        auto = Automaton(1, 2, ParameterMatrix(((1, 1), (0, 2))))
+        assert window_is_consistent(auto, (2, 1, 1, 2))
+        assert step_window(auto, (2, 1, 1, 2)) is None
+        with pytest.raises(ValueError):
+            step_window(Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0)))), (1, 1, 2, 2))
 
     def test_step_rejects_wrong_length(self):
         auto = Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0))))
-        with pytest.raises(ValueError):
-            step_window(auto, (1, 2, 1, 2))
+        for window in ((1, 2, 1), (1, 2, 1, 2, 1)):
+            with pytest.raises(ValueError):
+                step_window(auto, window)
+            with pytest.raises(ValueError):
+                window_is_consistent(auto, window)
+
+    def test_rejects_colors_outside_range(self):
+        auto = Automaton(1, 2, ParameterMatrix(((0, 2), (2, 0))))
+        for window in ((0, 2, 0, 2), (3, 2, 1, 2), (1, 2, 1, True), (1, 2, 1, 2.0)):
+            with pytest.raises(ValueError):
+                window_is_consistent(auto, window)
+            with pytest.raises(ValueError):
+                step_window(auto, window)
 
     def test_window_reproduces_enumerated_colorings(self, periodic_k2):
         cases = [(n, 2, periodic_k2[n]) for n in (1, 2)]
@@ -356,7 +375,7 @@ class TestAutomaton:
         for n, k, result in cases:
             for coloring, matrix in result.entries:
                 auto = Automaton(n, k, matrix)
-                length = 4 * n - 1
+                length = auto.window_length
                 window = tuple(coloring.color_at(i) for i in range(length))
                 assert window_is_consistent(auto, window)
                 forced = step_window(auto, window)
@@ -382,36 +401,36 @@ class TestThreeTapEngine:
                 assert len(starts) == len(set(starts)), (n, k, matrix)
                 expected = {
                     w for w in windows
-                    if window_is_consistent(auto, w[:-1])
-                    and window_is_consistent(auto, w[1:])
-                    and is_prenecklace(w)
+                    if window_is_consistent(auto, w) and is_prenecklace(w)
                 }
                 assert set(starts) == expected, (n, k, matrix)
 
-    def test_tap_table_matches_step_window(self):
-        # taps (a, b, o) = colors at offsets 2n-1, 2n+1 and 0 of a 4n-window;
-        # step_window sees the same step on the window's last 4n-1 colors,
-        # where the vertex at 2n+1 is its probe and the even offsets 2..4n-2
-        # are its known neighbors, holding r_a - e_o
-        for n, k in ((2, 3), (1, 4)):
+    def test_step_window_matches_neighbor_count(self):
+        # on every consistent window, the probe at offset 2n+1 sees its
+        # neighbors inside the window (all but the one at 4n); the forced
+        # color is the one whose deficit from the probe's row is 1, none if
+        # a deficit is negative, and it makes the next window consistent
+        for n, k in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
+            probe = 2 * n + 1
             for matrix in candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
-                table = _tap_table(matrix.rows)
-                reached = 0
-                for a, b, o in itertools.product(range(1, k + 1), repeat=3):
-                    known = [count - (c == o) for c, count in enumerate(matrix.rows[a - 1], 1)]
-                    if min(known) < 0:
-                        continue  # c(0) is a neighbor of c(2n-1): never read
-                    reached += 1
-                    neighbors = [c for c, count in enumerate(known, 1) for _ in range(count)]
-                    window = [1] * (4 * n - 1)
-                    window[1::2] = neighbors
-                    window[2 * n - 2] = a
-                    window[2 * n] = b
-                    expected = step_window(auto, tuple(window))
-                    entry = table[((a - 1) * k + b - 1) * k + o - 1]
-                    assert (None if entry is None else entry + 1) == expected, (matrix, a, b, o)
-                assert reached == sum(1 for row in matrix.rows for count in row if count) * k
+                windows = consistent_windows(auto)
+                assert windows, (n, k, matrix)
+                for window in windows:
+                    known = [0] * k
+                    for d in range(1, 2 * n, 2):
+                        for p in (probe - d, probe + d):
+                            if p < len(window):
+                                known[window[p] - 1] += 1
+                    deficits = [r - c for r, c in zip(matrix.rows[window[probe] - 1], known)]
+                    expected = None if min(deficits) < 0 else deficits.index(1) + 1
+                    forced = step_window(auto, window)
+                    assert forced == expected, (matrix, window)
+                    successors = [
+                        c for c in range(1, k + 1)
+                        if window_is_consistent(auto, window[1:] + (c,))
+                    ]
+                    assert successors == ([] if forced is None else [forced]), (matrix, window)
 
     def test_matches_table_oracle(self, periodic_k2):
         # entries and the given matrix objects, against the per-matrix table walk
