@@ -25,8 +25,6 @@ from .core import (
     verify_covering,
 )
 from .perfection import (
-    MatrixTemplateFamily,
-    OuterDegrees,
     PerfectionVerdict,
     admissible_matrix_templates,
     check_even_odd_balance,
@@ -37,16 +35,10 @@ from .perfection import (
     outer_degrees,
 )
 from .constructors import (
-    ColorSplit,
-    MatchingSplit,
-    TwoColorCases,
     all_4n_colorings,
     all_matched_colorings,
-    construct_4n,
-    construct_matched,
-    count_nonbipartite_4n,
+    count_4n_colorings,
     path_colorings,
-    two_color_cases,
 )
 from .enumeration import (
     Automaton,
@@ -60,9 +52,6 @@ from .enumeration import (
 )
 from .verification import (
     CheckReport,
-    InducedEntry,
-    InducedSet,
-    RegressionReport,
     build_induced_set,
     check_conjecture,
     check_theorem_k2,
@@ -87,8 +76,6 @@ __all__ = [
     "neighbor_offsets",
     "primitive_period",
     "verify_covering",
-    "MatrixTemplateFamily",
-    "OuterDegrees",
     "PerfectionVerdict",
     "admissible_matrix_templates",
     "check_even_odd_balance",
@@ -97,16 +84,10 @@ __all__ = [
     "check_period_length_claim",
     "is_bipartite_coloring",
     "outer_degrees",
-    "ColorSplit",
-    "MatchingSplit",
-    "TwoColorCases",
     "all_4n_colorings",
     "all_matched_colorings",
-    "construct_4n",
-    "construct_matched",
-    "count_nonbipartite_4n",
+    "count_4n_colorings",
     "path_colorings",
-    "two_color_cases",
     "Automaton",
     "EnumerationResult",
     "candidate_matrices",
@@ -116,9 +97,6 @@ __all__ = [
     "step_window",
     "window_is_consistent",
     "CheckReport",
-    "InducedEntry",
-    "InducedSet",
-    "RegressionReport",
     "build_induced_set",
     "check_conjecture",
     "check_theorem_k2",

@@ -23,13 +23,8 @@ from .core import (
     coloring_to_json,
     make_odd_distance_set,
 )
-from .perfection import check_perfect
-from .constructors import (
-    all_4n_colorings,
-    all_matched_colorings,
-    path_colorings,
-    two_color_cases,
-)
+from .perfection import check_perfect, is_bipartite_coloring
+from .constructors import all_4n_colorings, all_matched_colorings, path_colorings
 from .enumeration import (
     canonical_form,
     enumerate_perfect_finite,
@@ -219,21 +214,17 @@ def _cmd_construct(args) -> int:
             raise UsageError("--family balanced needs --n")
         dset = make_odd_distance_set(args.n)
         colorings = all_4n_colorings(args.n, args.k, budget=args.budget)
-    elif args.family == "matched":
+    elif args.family in ("matched", "two-color"):
         if args.n is None or args.t is None:
-            raise UsageError("--family matched needs --n and --t")
+            raise UsageError(f"--family {args.family} needs --n and --t")
         dset = make_odd_distance_set(args.n)
         colorings = all_matched_colorings(args.n, args.t, args.k, budget=args.budget)
-    elif args.family == "two-color":
-        if args.n is None or args.t is None:
-            raise UsageError("--family two-color needs --n and --t")
-        dset = make_odd_distance_set(args.n)
-        cases = two_color_cases(args.n, args.t, budget=args.budget)
-        colorings = cases.all()
-        print(
-            f"monochrome-matching: {len(cases.monochrome)}, bipartite: {len(cases.bipartite)}",
-            file=sys.stderr,
-        )
+        if args.family == "two-color":
+            bipartite = sum(is_bipartite_coloring(c, dset) for c in colorings)
+            print(
+                f"monochrome-matching: {len(colorings) - bipartite}, bipartite: {bipartite}",
+                file=sys.stderr,
+            )
     else:
         raise UsageError(f"unknown family {args.family!r}")
     entries = [(c, check_perfect(c, dset).matrix) for c in colorings]
@@ -310,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"work units each search may spend (default {DEFAULT_BUDGET}): vertices colored "
         "plus k! per perfect partition (finite), matrices generated, and window digits placed "
-        "plus steps walked (infinite); part-word pairs, per-edge assignments and monochrome "
-        "assignments (construct --family balanced, matched and two-color)",
+        "plus steps walked (infinite); part words plus colorings built (construct --family "
+        "balanced) and per-edge assignments (construct --family matched and two-color)",
     )
 
     parser = argparse.ArgumentParser(

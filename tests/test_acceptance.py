@@ -34,7 +34,6 @@ from circulant_colorings import (
     outer_degrees,
     path_colorings,
     step_window,
-    two_color_cases,
 )
 from conftest import surjective_word_count
 
@@ -170,7 +169,7 @@ def test_criterion_07_golden_cross_check():
             golden_words = {tuple(w) for w in golden["words"]}
             assert len(golden_words) == golden["count"]
             enumerated = enumerate_perfect_finite(t, D2, 2).words()
-            constructed = {c.word for c in two_color_cases(2, t).all()}
+            constructed = {c.word for c in all_matched_colorings(2, t, 2)}
             assert enumerated == golden_words, t
             assert constructed == golden_words, t
 

@@ -209,12 +209,13 @@ class TestConstruct:
         assert code == 0
         assert len(text.splitlines()) == 4
 
-    def test_two_color_family(self, tmp_path):
+    def test_two_color_family(self, tmp_path, capsys):
         code, text = run(
             tmp_path, "construct", "--family", "two-color", "--n", "2", "--t", "10"
         )
         assert code == 0
         assert len(text.splitlines()) == 32
+        assert capsys.readouterr().err == "monochrome-matching: 30, bipartite: 2\n"
 
     def test_balanced_family(self, tmp_path):
         code, text = run(tmp_path, "construct", "--family", "balanced", "--n", "2", "--k", "2")
@@ -230,10 +231,10 @@ class TestConstruct:
         assert len(text.splitlines()) == 24
 
     def test_budget_reaches_the_matched_drivers(self, tmp_path, capsys):
-        # 2^5 monochrome assignments at t = 10; 6 per-edge assignments at (1, 2, 2)
+        # per-edge assignments: 1 + 1 + 2^5 + 2^5 at (2, 10, 2) and 6 at (1, 2, 2)
         two_color = ("construct", "--family", "two-color", "--n", "2", "--t", "10")
         matched = ("construct", "--family", "matched", "--n", "1", "--t", "2", "--k", "2")
-        for argv, spent in ((two_color, 32), (matched, 6)):
+        for argv, spent in ((two_color, 66), (matched, 6)):
             assert run(tmp_path, *argv, "--budget", str(spent))[0] == 0
             capsys.readouterr()
             assert run(tmp_path, *argv, "--budget", str(spent - 1))[0] == 2

@@ -4,18 +4,14 @@ import pytest
 
 from circulant_colorings import (
     BudgetExceededError,
-    ColorSplit,
     DistanceSet,
-    MatchingSplit,
     all_4n_colorings,
     all_matched_colorings,
     check_perfect,
-    construct_4n,
-    construct_matched,
-    count_nonbipartite_4n,
+    count_4n_colorings,
+    is_bipartite_coloring,
     make_odd_distance_set,
     path_colorings,
-    two_color_cases,
 )
 from conftest import brute_perfect_words
 
@@ -54,93 +50,47 @@ class TestPathColorings:
 
 
 class TestConstruct4n:
+    # worked examples of the K_{2n,2n} rule, found among the driver's output
     def test_interleaves_sides(self):
-        c = construct_4n(1, 2, (1, 2), (2, 1))
-        assert c.word == (1, 2, 2, 1)
+        # even part (1, 2) and odd part (2, 1)
+        assert (1, 2, 2, 1) in {c.word for c in all_4n_colorings(1, 2)}
 
     def test_balanced_sides_are_perfect(self):
-        c = construct_4n(2, 3, (1, 2, 2, 3), (2, 3, 1, 2))
-        assert check_perfect(c, D2).is_perfect
+        # even part (1, 2, 2, 3) and odd part (2, 3, 1, 2)
+        word = (1, 2, 2, 3, 2, 1, 3, 2)
+        built = {c.word: c for c in all_4n_colorings(2, 3)}
+        assert check_perfect(built[word], D2).is_perfect
 
     def test_disjoint_sides_are_perfect(self):
-        c = construct_4n(2, 2, (1, 1, 1, 1), (2, 2, 2, 2))
-        v = check_perfect(c, D2)
+        built = {c.word: c for c in all_4n_colorings(2, 2)}
+        v = check_perfect(built[(1, 2) * 4], D2)
         assert v.is_perfect
         assert v.matrix.rows == ((0, 4), (4, 0))
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            construct_4n(2, 2, (1, 2), (1, 2, 1, 2))
-        for n in (True, 0, 1.0):
-            with pytest.raises(ValueError):
-                construct_4n(n, 2, (1, 2), (2, 1))
-
     def test_rejects_unbalanced_overlap(self):
         # color 1 on both sides with different multiplicities
-        with pytest.raises(ValueError):
-            construct_4n(1, 2, (1, 1), (1, 2))
-
-
-class TestSplitTypes:
-    def test_color_split_requires_full_cover(self):
-        with pytest.raises(ValueError):
-            ColorSplit(3, frozenset({1}), ((1, 2),), ())
-        with pytest.raises(ValueError):
-            ColorSplit(2, frozenset(), (), ((1, 1),))
-
-    def test_color_split_bipartite_exclusive(self):
-        with pytest.raises(ValueError):
-            ColorSplit(3, frozenset({3}), (), ((1, 2),))
-
-    def test_matching_split_no_mixed_kinds(self):
-        with pytest.raises(ValueError):
-            MatchingSplit(monochrome=((0, 1),), swaps=(), bipartite=((1, 1, 2),))
-
-    def test_reused_edge_rejected_at_assembly(self):
-        split = ColorSplit(2, frozenset({1, 2}), (), ())
-        msplit = MatchingSplit(monochrome=((0, 1), (0, 2), (1, 1)))
-        with pytest.raises(ValueError):
-            construct_matched(1, 6, 2, split, msplit)
+        assert (1, 1, 1, 2) not in {c.word for c in all_4n_colorings(1, 2)}
 
 
 class TestMatchedConstructions:
+    # worked examples of the color splits, found among the driver's output
     def test_removed_matching_bipartite_case(self):
-        split = ColorSplit(2, frozenset(), (), ((1, 2),))
-        msplit = MatchingSplit(bipartite=((0, 1, 2), (1, 1, 2), (2, 1, 2)))
-        c = construct_matched(1, 6, 2, split, msplit)
-        assert c.word == (1, 2, 1, 2, 1, 2)
-        assert check_perfect(c, D1).is_perfect
+        built = {c.word: c for c in all_matched_colorings(1, 6, 2)}
+        assert check_perfect(built[(1, 2, 1, 2, 1, 2)], D1).is_perfect
 
     def test_removed_matching_monochrome_case(self):
-        split = ColorSplit(2, frozenset({1, 2}), (), ())
-        msplit = MatchingSplit(
-            monochrome=((0, 1), (1, 1), (2, 2), (3, 2), (4, 2))
-        )
-        c = construct_matched(2, 10, 2, split, msplit)
-        assert check_perfect(c, D2).is_perfect
+        # edges 0 and 1 held by color 1, edges 2, 3 and 4 by color 2
+        word = (1, 1, 2, 2, 2, 1, 1, 2, 2, 2)
+        built = {c.word: c for c in all_matched_colorings(2, 10, 2)}
+        assert check_perfect(built[word], D2).is_perfect
         # both endpoints of each matching edge share that edge's color
-        for edge, color in msplit.monochrome:
-            assert c.word[edge] == c.word[edge + 5] == color
+        for edge in range(5):
+            assert word[edge] == word[edge + 5]
 
     def test_doubled_matching_swap_case(self):
         # three doubled edges: one held by color 3, two swapping 1 and 2
-        split = ColorSplit(3, frozenset({3}), ((1, 2),), ())
-        msplit = MatchingSplit(monochrome=((0, 3),), swaps=((1, 2, 1, 2),))
-        c = construct_matched(2, 6, 3, split, msplit)
-        assert c.word == (3, 2, 2, 3, 1, 1)
-        assert check_perfect(c, D2).is_perfect
-
-    def test_kind_mismatch_rejected(self):
-        split = ColorSplit(2, frozenset({1, 2}), (), ())
-        msplit = MatchingSplit(bipartite=((0, 1, 2), (1, 1, 2), (2, 1, 2)))
-        with pytest.raises(ValueError):
-            construct_matched(1, 6, 2, split, msplit)
-
-    def test_edge_coverage_enforced(self):
-        split = ColorSplit(2, frozenset({1, 2}), (), ())
-        msplit = MatchingSplit(monochrome=((0, 1), (2, 2)))
-        with pytest.raises(ValueError):
-            construct_matched(2, 10, 2, split, msplit)
+        built = {c.word: c for c in all_matched_colorings(2, 6, 3)}
+        assert check_perfect(built[(3, 2, 2, 3, 1, 1)], D2).is_perfect
 
 
 class TestDriverCompleteness:
@@ -161,13 +111,14 @@ class TestDriverCompleteness:
     def test_balanced_driver_budget(self):
         with pytest.raises(BudgetExceededError):
             all_4n_colorings(4, 3, budget=100)
-        # the budget counts the k^(4n) part-word pairs: 2^4 at (1, 2)
-        assert len(all_4n_colorings(1, 2, budget=16)) == len(all_4n_colorings(1, 2))
+        # the budget counts the k^(2n) part words plus the colorings built:
+        # 2^2 + 6 at (1, 2)
+        assert len(all_4n_colorings(1, 2, budget=10)) == len(all_4n_colorings(1, 2))
         with pytest.raises(BudgetExceededError):
-            all_4n_colorings(1, 2, budget=15)
-        # 3^16 pairs pass the default of 2^24
-        with pytest.raises(BudgetExceededError):
-            all_4n_colorings(4, 3)
+            all_4n_colorings(1, 2, budget=9)
+        # 4^8 part words and 57,097,848 colorings pass the default of 2^24 at once
+        with pytest.raises(BudgetExceededError, match="spent 57163384 units"):
+            all_4n_colorings(4, 4)
         for budget in (2.5, True, 0, -1, "x"):
             with pytest.raises(ValueError):
                 all_4n_colorings(1, 2, budget=budget)
@@ -213,64 +164,51 @@ class TestDriverCompleteness:
         for n, t, k in ((1, 6, 0), (2, 10, -1), (1, 2, 2.0)):
             with pytest.raises(ValueError):
                 all_matched_colorings(n, t, k)
-        split = ColorSplit(2, frozenset({1, 2}), (), ())
-        msplit = MatchingSplit(monochrome=((0, 1), (1, 1), (2, 2), (3, 2)))
-        with pytest.raises(ValueError):
-            construct_matched(2, 8, 2, split, msplit)
 
 
 class TestTwoColorCases:
+    # the two-color case of the matched driver, split as the CLI reports it
     def test_counts(self):
-        cases = two_color_cases(2, 6)
-        assert (len(cases.monochrome), len(cases.bipartite)) == (6, 2)
-        cases = two_color_cases(2, 10)
-        assert (len(cases.monochrome), len(cases.bipartite)) == (30, 2)
+        for t, monochrome in ((6, 6), (10, 30)):
+            built = all_matched_colorings(2, t, 2)
+            bipartite = sum(is_bipartite_coloring(c, D2) for c in built)
+            assert (len(built) - bipartite, bipartite) == (monochrome, 2), t
 
     def test_equals_brute_force(self):
         for t in (6, 10):
-            words = {c.word for c in two_color_cases(2, t).all()}
+            words = {c.word for c in all_matched_colorings(2, t, 2)}
             assert words == brute_perfect_words(t, (1, 3), 2), t
 
     def test_budget(self):
-        # the budget counts the 2^m monochrome assignments over m = t/2 edges
-        assert len(two_color_cases(2, 6, budget=8).all()) == 8
+        # 1 + 1 per-edge assignments for the bipartite splits, 2^3 + 2^3 for
+        # the monochrome and swapped ones
+        assert len(all_matched_colorings(2, 6, 2, budget=18)) == 8
         with pytest.raises(BudgetExceededError):
-            two_color_cases(2, 6, budget=7)
-        for budget in (2.5, True, 0, -1, "x"):
-            with pytest.raises(ValueError):
-                two_color_cases(2, 6, budget=budget)
+            all_matched_colorings(2, 6, 2, budget=17)
 
     def test_all_verify_perfect(self):
-        for c in two_color_cases(2, 6).all():
+        for c in all_matched_colorings(2, 6, 2):
             assert check_perfect(c, D2).is_perfect
 
 
-class TestNonBipartiteCount:
+class TestCount4nColorings:
     def test_frozen_small_values(self):
-        assert count_nonbipartite_4n(1, 2, (1, 1)) == 4
-        assert count_nonbipartite_4n(2, 2, (2, 2)) == 36
+        assert count_4n_colorings(1, 2) == 6
+        assert count_4n_colorings(2, 2) == 70
+        assert count_4n_colorings(3, 4) == 279384
+        assert count_4n_colorings(4, 3) == 2120676
 
     def test_agrees_with_brute_force(self):
-        # non-bipartite = both sides share at least one color
-        for n, k, counts in ((2, 2, (2, 2)), (3, 2, (3, 3)), (2, 3, (2, 1, 1))):
-            part = [c for c, m in enumerate(counts, start=1) for _ in range(m)]
+        for n, k in ((1, 3), (2, 2), (2, 3), (3, 2)):
             brute = brute_perfect_words(4 * n, tuple(range(1, 2 * n, 2)), k)
-            shared = [
-                w
-                for w in brute
-                if set(w[0::2]) & set(w[1::2])
-                and sorted(w[0::2]) == part
-                and sorted(w[1::2]) == part
-            ]
-            assert count_nonbipartite_4n(n, k, counts) == len(shared), (n, k, counts)
+            assert count_4n_colorings(n, k) == len(brute), (n, k)
 
-    def test_rejects_wrong_total(self):
-        with pytest.raises(ValueError):
-            count_nonbipartite_4n(2, 2, (1, 1))
-        for n, k, counts in ((1, 2, (True, True)), (1, 2, (1.0, 1)), (True, 2, (1, 1)), (1, 2.0, (1, 1))):
+    def test_matches_driver(self):
+        sizes = [(1, k) for k in range(1, 7)] + [(2, k) for k in range(1, 6)]
+        for n, k in sizes + [(3, k) for k in range(1, 4)]:
+            assert count_4n_colorings(n, k) == len(all_4n_colorings(n, k)), (n, k)
+
+    def test_rejects_non_positive_int(self):
+        for n, k in ((0, 2), (-1, 2), (True, 2), (1.0, 2), (1, 0), (1, -2), (1, True), (1, 2.0)):
             with pytest.raises(ValueError):
-                count_nonbipartite_4n(n, k, counts)
-
-    def test_rejects_single_color(self):
-        with pytest.raises(ValueError):
-            count_nonbipartite_4n(2, 2, (4, 0))
+                count_4n_colorings(n, k)

@@ -25,7 +25,6 @@ from circulant_colorings import (
     neighbor_color_counts,
     neighbor_offsets,
     primitive_period,
-    two_color_cases,
     verify_covering,
 )
 from conftest import edge_multiset_adjacency, oracle_counts
@@ -306,11 +305,9 @@ class TestJsonRoundTrip:
         (lambda b: enumerate_periodic_perfect(2, 2, budget=b),
          "periodic search for n=2, k=2", "window digits placed plus steps walked", 440, 439),
         (lambda b: all_4n_colorings(1, 2, budget=b),
-         "balanced driver for n=1, k=2", "part-word pairs", 16, 15),
+         "balanced driver for n=1, k=2", "part words plus colorings built", 10, 9),
         (lambda b: all_matched_colorings(1, 2, 2, budget=b),
          "matched driver for n=1, t=2, k=2", "per-edge assignments", 6, 5),
-        (lambda b: two_color_cases(2, 6, budget=b),
-         "two-color driver for n=2, t=6", "monochrome assignments", 8, 7),
     ],
 )
 def test_every_search_refuses_in_the_one_budget_format(search, search_name, unit, spent, budget):
