@@ -19,7 +19,13 @@ index is derived per edge, since i itself may be odd.
 from itertools import product
 from math import comb
 
-from .core import FiniteColoring, PeriodicColoring, WorkMeter, require_positive_int
+from .core import (
+    FiniteColoring,
+    PeriodicColoring,
+    WorkMeter,
+    _built_coloring,
+    require_positive_int,
+)
 
 
 def path_colorings(k: int) -> tuple[PeriodicColoring, ...]:
@@ -171,7 +177,9 @@ def all_4n_colorings(n: int, k: int, budget: int | None = None) -> tuple[FiniteC
     is paired with the odd words of its own count bucket (balanced) or of
     the complementary color set (disjoint).  The budget's unit is one part
     word or one coloring built, all k^(2n) + count_4n_colorings(n, k) spent
-    before building.
+    before building.  Every word built uses all k colors (a balanced even
+    word uses them all; a disjoint pair's color sets are complementary), so
+    the colorings are built without re-validation.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
@@ -199,4 +207,4 @@ def all_4n_colorings(n: int, k: int, budget: int | None = None) -> tuple[FiniteC
         for even in evens
         for odd in by_set.get(everything - used, ())
     ]
-    return tuple(FiniteColoring(word, k) for word in sorted(words))
+    return tuple(_built_coloring(FiniteColoring, word, k) for word in sorted(words))

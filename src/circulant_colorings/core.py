@@ -146,6 +146,21 @@ def _validate_word(word: tuple[int, ...], k: int) -> None:
         raise ValueError(f"coloring must use every color in 1..{k}; missing {missing}")
 
 
+def _built_coloring(cls, word: tuple[int, ...], k: int):
+    """cls(word, k) without re-validating, for words valid by construction.
+
+    word must be a tuple over 1..k that uses every color; for a
+    PeriodicColoring it must also be a primitive period in least rotation,
+    the form the constructor stores.  The public constructors keep
+    validating; this skips the work for callers that already know the word
+    is valid, as ParameterMatrix.relabeled does for matrices.
+    """
+    coloring = object.__new__(cls)
+    object.__setattr__(coloring, "word", word)
+    object.__setattr__(coloring, "k", k)
+    return coloring
+
+
 @dataclass(frozen=True)
 class FiniteColoring:
     """Coloring of Ci_t(D) given as the word (color of 0, ..., color of t-1)."""

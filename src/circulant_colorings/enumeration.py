@@ -56,6 +56,19 @@ so the starts are the consistent windows that are prenecklaces, generated
 directly from the rows.  No visited set or path is kept, so memory is the
 output.
 
+Two rules keep the walks to the cycles Ci_{4n} = K_{2n,2n} does not
+already give (each argued in full in _prenecklace_windows).  The middle
+colors (a, b) = (c(2n-1), c(2n)) fix a window's content; when they are a K
+pair -- every color of r_a's support has row r_b and every color of r_b's
+support has row r_a -- the window's 4n-periodic extension is perfect, so
+the start's cycle is known without a walk and is recorded at the
+generator's leaf when the start is a necklace.  For the other pairs, step
+j <= 2n-2 reads only digits of the start, so a prefix whose taps have no
+forced color dies by that step and its subtree is cut while the start is
+built.  Each cycle's recolorings are canonical words already (a primitive
+period, least-rotated), so each coloring is built once, without
+re-validation.
+
 Only matrices that some onto perfect coloring could have are searched.
 candidate_matrices keeps those that pass three necessary conditions, each
 argued in full in its docstring:
@@ -87,6 +100,7 @@ from .core import (
     ParameterMatrix,
     PeriodicColoring,
     WorkMeter,
+    _built_coloring,
     least_rotation,
     neighbor_offsets,
     primitive_period,
@@ -580,8 +594,20 @@ def _tap_table(rows: tuple[tuple[int, ...], ...]) -> list[int | None]:
     return table
 
 
-def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], meter: WorkMeter):
+def _is_k_pair(rows: tuple[tuple[int, ...], ...], a: int, b: int) -> bool:
+    """Whether r_d = r_b for every d in supp(r_a) and r_d = r_a for every d in supp(r_b)."""
+    return all(rows[d] == rows[b] for d, count in enumerate(rows[a]) if count) and all(
+        rows[d] == rows[a] for d, count in enumerate(rows[b]) if count
+    )
+
+
+def _prenecklace_windows(automaton: Automaton, meter: WorkMeter, stats: dict):
     """The consistent 4n-windows of one matrix that are prenecklaces, encoded.
+
+    Yields (start, period).  period is None for a start to walk; for a
+    start that is a cycle's least window and whose cycle is known without a
+    walk (a K-pair necklace, below), it is the cycle's digits, one primitive
+    period.
 
     With a = c(2n-1) and b = c(2n), a consistent window holds r_a - e_b on
     the even offsets other than 2n and r_b - e_a on the odd offsets other
@@ -594,25 +620,64 @@ def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], meter: WorkM
     that content (Ruskey, Savage and Wang, J. Algorithms 13, 1992; Sawada,
     TCS 301, 2003): with p the length of the longest Lyndon prefix, a
     prenecklace stays one exactly when the digit at offset i is >= w[i-p];
-    an equal digit keeps p, a greater one sets p = i+1.
+    an equal digit keeps p, a greater one sets p = i+1.  The prenecklace is
+    a necklace exactly when p divides 4n, and then w[:p] is a Lyndon word.
 
-    The meter is spent one unit per digit placed.
+    K pairs.  (a, b) is a K pair when r_d = r_b for every d in supp(r_a)
+    and r_d = r_a for every d in supp(r_b).  Ci_{4n}(D_n) is K_{2n,2n}: the
+    offsets +-1, ..., +-(2n-1) reach every residue of the other parity mod
+    4n.  So in the 4n-periodic extension of a consistent window of a K
+    pair, an even vertex sees the odd offsets, which count r_b, and its
+    color d is in supp(r_a), so r_d = r_b; likewise at odd vertices.  The
+    extension is perfect with this matrix, and the step rule, which has one
+    consistent successor, reproduces it: the start lies on a cycle whose
+    length is the start's primitive period, a divisor of 4n.  The start is
+    that cycle's least window exactly when it is a necklace, and then its
+    Lyndon prefix w[:p] is that period, so the cycle is yielded with no
+    walk.  A K-pair prenecklace that is not a necklace lies on the cycle of
+    its least rotation, a K-pair necklace, and is not yielded.
+    Conversely, a perfect coloring whose period divides 4n is perfect on
+    K_{2n,2n}, where every even vertex sees the odd part's counts and every
+    odd vertex the even part's, so each of its windows has a K pair: the
+    starts of other pairs give exactly the cycles whose period does not
+    divide 4n.
+
+    Dead taps.  For a start of any other pair, step j of its walk reads the
+    taps (c(2n-1+j), c(2n+1+j), c(j)), all inside the start while
+    j <= 2n-2.  Once the digit at offset i = 2n+1+j is placed, if the table
+    forces no color on step j's taps, every completion of the prefix dies
+    at step j or earlier and records nothing, so the subtree is cut
+    (stats["pruned_dead_tap"] counts the cuts).  K-pair starts never die and
+    are not checked.
+
+    The meter is spent one unit per digit placed, cut digits included.
     """
+    n, rows, table = automaton.n, automaton.matrix.rows, automaton.table
     k = len(rows)
     length = 4 * n
     word = [0] * length
     spend = meter.spend
+    pruned = 0
 
     def extend(i: int, p: int, value: int):
+        nonlocal pruned
         if i == length:
-            yield value
+            if not k_pair:
+                yield value, None
+            elif length % p == 0:
+                yield value, tuple(word[:p])
             return
         counts = pools[i]
         least = word[i - p] if i else 0
+        # step i-2n-1's taps are complete once offset i is placed
+        check_taps = not k_pair and i > 2 * n
         for d in range(least, k):
             if not counts[d]:
                 continue
             spend()
+            if check_taps and table[(word[i - 2] * k + d) * k + word[i - 2 * n - 1]] is None:
+                pruned += 1
+                continue
             word[i] = d
             counts[d] -= 1
             yield from extend(i + 1, p if d == least else i + 1, value * k + d)
@@ -621,12 +686,14 @@ def _prenecklace_windows(n: int, rows: tuple[tuple[int, ...], ...], meter: WorkM
     for a in range(k):
         for b in range(k):
             if rows[a][b] and rows[b][a]:
+                k_pair = _is_k_pair(rows, a, b)
                 even, odd = list(_minus(rows[a], b)), list(_minus(rows[b], a))
                 # pools[i]: the digits still free for offset i
                 pools = [odd if i % 2 else even for i in range(length)]
                 pools[2 * n - 1] = [int(d == a) for d in range(k)]
                 pools[2 * n] = [int(d == b) for d in range(k)]
                 yield from extend(0, 1, 0)
+    stats["pruned_dead_tap"] += pruned
 
 
 def enumerate_periodic_perfect(
@@ -638,9 +705,20 @@ def enumerate_periodic_perfect(
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
     Per searched matrix, each start of _prenecklace_windows is walked
-    through the matrix's Automaton.table, and each cycle is recorded from
-    its least window (see the module docstring).  stats["states_followed"]
-    counts the steps walked and stats["units"] the budget units spent.
+    through the matrix's Automaton.table, or, for a K-pair necklace, taken
+    as its cycle without a walk, and each cycle is recorded from its least
+    window (see the module docstring).  A cycle's recolorings are least
+    rotations of a primitive period over all k colors, so a coloring is
+    built only for a word not found yet, and without re-validation.
+
+    stats:
+      matrices_tried -- orbit representatives searched;
+      states_followed -- steps walked;
+      cycles_found -- cycles recorded, onto or not;
+      k_pair_cycles -- of those, the ones recorded at the generator's leaf;
+      pruned_dead_tap -- start prefixes cut on a dead tap;
+      colorings -- entries returned;
+      units -- the budget units spent.
 
     The matrices (candidate_matrices by default) are grouped into S_k
     conjugacy orbits and only the least image of each orbit is searched.  A
@@ -682,13 +760,35 @@ def enumerate_periodic_perfect(
         orbits.append((representative, targets))
 
     found: dict[tuple[int, ...], Entry] = {}
-    stats = {"matrices_tried": len(orbits), "states_followed": 0, "cycles_found": 0}
+    stats = {
+        "matrices_tried": len(orbits),
+        "states_followed": 0,
+        "cycles_found": 0,
+        "k_pair_cycles": 0,
+        "pruned_dead_tap": 0,
+    }
+
+    def record(period, targets):
+        # period is one primitive period of a cycle, digits 0..k-1, so each
+        # recoloring's least rotation is its canonical word
+        stats["cycles_found"] += 1
+        if len(set(period)) == k:
+            for p, target in targets:
+                word = least_rotation(tuple(map(p.__getitem__, period)))
+                if word not in found:
+                    found[word] = (_built_coloring(PeriodicColoring, word, k), target)
+
     top = k ** (4 * n - 1)  # weight of offset 0
     weight_a = k ** (2 * n)  # offset 2n-1
     weight_b = k ** (2 * n - 2)  # offset 2n+1
     for representative, targets in orbits:
-        step = Automaton(n, k, representative).table
-        for start in _prenecklace_windows(n, representative.rows, meter):
+        automaton = Automaton(n, k, representative)
+        step = automaton.table
+        for start, period in _prenecklace_windows(automaton, meter, stats):
+            if period is not None:
+                stats["k_pair_cycles"] += 1
+                record(period, targets)
+                continue
             window = start
             tail: list[int] = []  # forced digits; once back at start, one period
             while True:
@@ -700,11 +800,7 @@ def enumerate_periodic_perfect(
                 window = window % top * k + forced
                 if window <= start:
                     if window == start:
-                        stats["cycles_found"] += 1
-                        if len(set(tail)) == k:
-                            for p, target in targets:
-                                coloring = PeriodicColoring(tuple(p[d] for d in tail), k)
-                                found.setdefault(coloring.word, (coloring, target))
+                        record(tail, targets)
                     break
             stats["states_followed"] += len(tail)
             meter.spend(len(tail))

@@ -22,8 +22,10 @@ from .core import (
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
+    _built_coloring,
     least_rotation,
     make_odd_distance_set,
+    primitive_period,
     require_positive_int,
 )
 from .perfection import (
@@ -73,7 +75,8 @@ def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], Entry]:
     """Word -> (coloring, matrix) for each recoloring of every path template
     check_perfect confirms on dset: one check per template, then relabeled
     once per word.  A recolored template is a primitive period, so its
-    least rotation is the word."""
+    least rotation is the word and the coloring is built without
+    re-validation."""
     family: dict[tuple[int, ...], Entry] = {}
     for template in path_colorings(k):
         verdict = check_perfect(template, dset)
@@ -82,7 +85,8 @@ def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], Entry]:
         for target in permutations(range(1, k + 1)):
             word = least_rotation(tuple(target[c - 1] for c in template.word))
             if word not in family:
-                family[word] = (PeriodicColoring(word, k), verdict.matrix.relabeled(target))
+                coloring = _built_coloring(PeriodicColoring, word, k)
+                family[word] = (coloring, verdict.matrix.relabeled(target))
     return family
 
 
@@ -134,7 +138,9 @@ def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
     to each of the three finite searches, which count their own work
     against it; each search's pullbacks are reduced to their words before
     the next search runs.  The searches fold rotations: every rotation of a
-    finite word pulls back to the same periodic coloring and matrix.
+    finite word pulls back to the same periodic coloring and matrix.  The
+    finite words are valid already, so each pullback is built from its
+    canonical word without re-validation.
     """
     require_positive_int("k", k)
     dset = make_odd_distance_set(n)
@@ -142,8 +148,9 @@ def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
     for t, _ in _finite_orders(n):
         result = enumerate_perfect_finite(t, dset, k, rotation=True, budget=budget)
         for finite, matrix in result.entries:
-            coloring = PeriodicColoring(finite.word, k)
-            found.setdefault(coloring.word, (coloring, matrix))
+            word = least_rotation(primitive_period(finite.word))
+            if word not in found:
+                found[word] = (_built_coloring(PeriodicColoring, word, k), matrix)
     path = _path_family(dset, k)
     for word, entry in path.items():
         found.setdefault(word, entry)

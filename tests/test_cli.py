@@ -159,6 +159,27 @@ class TestEnumerate:
         assert all(p["matrix"] == matrix_of[tuple(p["coloring"]["word"])] for p in printed)
         assert len(reps) < len(matrix_of)
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize(
+        "symmetry", ["none", "rotation", "rotation,colors", "reflection", "rotation,reflection,colors"]
+    )
+    def test_infinite_prints_each_canonical_form_once(self, tmp_path, n, k, symmetry):
+        # the one-sweep fold against canonical_form on every search entry
+        code, text = run(
+            tmp_path, "enumerate", "--infinite", "--n", str(n), "--k", str(k),
+            "--symmetry", symmetry,
+        )
+        assert code == 0
+        flags = dict(reflection="reflection" in symmetry, color_permutation="colors" in symmetry)
+        matrix_of = {c.word: m for c, m in enumerate_periodic_perfect(n, k).entries}
+        dset = DistanceSet(tuple(range(1, 2 * n, 2)))
+        expected = [
+            {"coloring": coloring_to_json(PeriodicColoring(w, k), dset),
+             "matrix": matrix_of[w].to_lists()}
+            for w in sorted({canonical_form(w, **flags) for w in matrix_of})
+        ]
+        assert [json.loads(line) for line in text.splitlines()] == expected
+
     def test_finite_symmetry_matches_library(self, tmp_path):
         code, text = run(
             tmp_path, "enumerate", "--t", "8", "--distances", "1,3", "--k", "2",

@@ -303,7 +303,7 @@ class TestJsonRoundTrip:
         (lambda b: candidate_matrices(1, 3, budget=b),
          "matrix generation for n=1, k=3", "support-symmetric matrices generated", 26, 25),
         (lambda b: enumerate_periodic_perfect(2, 2, budget=b),
-         "periodic search for n=2, k=2", "window digits placed plus steps walked", 440, 439),
+         "periodic search for n=2, k=2", "window digits placed plus steps walked", 330, 329),
         (lambda b: all_4n_colorings(1, 2, budget=b),
          "balanced driver for n=1, k=2", "part words plus colorings built", 10, 9),
         (lambda b: all_matched_colorings(1, 2, 2, budget=b),

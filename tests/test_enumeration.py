@@ -23,7 +23,7 @@ from circulant_colorings import (
     window_is_consistent,
 )
 from circulant_colorings import enumeration
-from circulant_colorings.core import WorkMeter, least_rotation
+from circulant_colorings.core import WorkMeter, least_rotation, primitive_period
 from circulant_colorings.enumeration import (
     _has_parity_split,
     _is_balanced,
@@ -387,23 +387,83 @@ def _decode(window, n, k):
     return tuple(window // k ** (4 * n - 1 - i) % k + 1 for i in range(4 * n))
 
 
+def _extension_is_perfect(window, rows):
+    """Whether the window's 4n-periodic extension sees its rows at every vertex."""
+    length = len(window)
+    for v, color in enumerate(window):
+        counts = [0] * len(rows)
+        for d in range(1, length // 2, 2):
+            counts[window[(v + d) % length] - 1] += 1
+            counts[window[(v - d) % length] - 1] += 1
+        if tuple(counts) != rows[color - 1]:
+            return False
+    return True
+
+
+def _survives_steps(auto, window, steps):
+    """Whether the walk from window takes the given number of steps without dying."""
+    for _ in range(steps):
+        forced = step_window(auto, window)
+        if forced is None:
+            return False
+        window = window[1:] + (forced,)
+    return True
+
+
+def _generated(auto):
+    """(walked starts, {leaf start: period}) from _prenecklace_windows, decoded."""
+    n, k = auto.n, auto.k
+    meter = WorkMeter(None, "prenecklace windows", "window digits placed")
+    stats = {"pruned_dead_tap": 0}
+    walked, leaves = [], {}
+    for start, period in _prenecklace_windows(auto, meter, stats):
+        if period is None:
+            walked.append(_decode(start, n, k))
+        else:
+            assert _decode(start, n, k) not in leaves
+            leaves[_decode(start, n, k)] = tuple(d + 1 for d in period)
+    return walked, leaves
+
+
 class TestThreeTapEngine:
     def test_start_windows_are_the_consistent_prenecklaces(self):
-        # no repeats, and (by a scan of all k^(4n) windows) exactly the
-        # consistent windows that are prenecklaces
+        # By a scan of all k^(4n) windows: the walked starts, without
+        # repeats, are exactly the consistent prenecklaces whose 4n-periodic
+        # extension is not perfect (the other pairs than K pairs) and whose
+        # first 2n-1 steps do not die; the leaf cycles are exactly the
+        # consistent necklaces whose extension is perfect (the K pairs),
+        # each with its primitive period.
         for n, k in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
             windows = list(itertools.product(range(1, k + 1), repeat=4 * n))
             for matrix in candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
-                meter = WorkMeter(None, "prenecklace windows", "window digits placed")
-                generated = _prenecklace_windows(n, matrix.rows, meter)
-                starts = [_decode(w, n, k) for w in generated]
-                assert len(starts) == len(set(starts)), (n, k, matrix)
-                expected = {
-                    w for w in windows
-                    if window_is_consistent(auto, w) and is_prenecklace(w)
-                }
-                assert set(starts) == expected, (n, k, matrix)
+                walked, leaves = _generated(auto)
+                assert len(walked) == len(set(walked)), (n, k, matrix)
+                consistent = [
+                    w for w in windows if window_is_consistent(auto, w) and is_prenecklace(w)
+                ]
+                k_pair = {w for w in consistent if _extension_is_perfect(w, matrix.rows)}
+                assert set(walked) == {
+                    w for w in consistent
+                    if w not in k_pair and _survives_steps(auto, w, 2 * n - 1)
+                }, (n, k, matrix)
+                necklaces = {w for w in k_pair if least_rotation(w) == w}
+                assert leaves == {w: primitive_period(w) for w in necklaces}, (n, k, matrix)
+
+    def test_k_pair_necklaces_return_after_their_period(self):
+        # each leaf cycle is the walk's: step_window from the start forces
+        # the period's digits and is back at the start after p steps
+        for n, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4)):
+            for matrix in candidate_matrices(n, k):
+                auto = Automaton(n, k, matrix)
+                _, leaves = _generated(auto)
+                for start, period in leaves.items():
+                    window, forced = start, []
+                    for _ in period:
+                        forced.append(step_window(auto, window))
+                        window = window[1:] + (forced[-1],)
+                    assert window == start, (n, k, matrix, start)
+                    assert tuple(forced) == period, (n, k, matrix, start)
 
     def test_step_window_matches_neighbor_count(self):
         # on every consistent window, the probe at offset 2n+1 sees its
@@ -433,8 +493,10 @@ class TestThreeTapEngine:
                     assert successors == ([] if forced is None else [forced]), (matrix, window)
 
     def test_matches_table_oracle(self, periodic_k2):
-        # entries and the given matrix objects, against the per-matrix table walk
-        for n, k in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (1, 5)):
+        # entries and the given matrix objects, against the per-matrix table
+        # walk: the unpruned cross-check of the K-pair leaf cycles and the
+        # dead-tap cuts, which the oracle does not use
+        for n, k in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5)):
             mats = candidate_matrices(n, k)
             result = enumerate_periodic_perfect(n, k, matrices=mats)
             oracle = table_periodic_search(n, k, mats)
@@ -495,11 +557,11 @@ class TestEnumeratePeriodicPerfect:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_periodic_perfect(3, 3, budget=1000)
-        # (2, 2): 17 matrices generated; the search spends 440 units, 296
-        # window digits placed plus 144 steps walked, over the 6 searched
-        assert len(enumerate_periodic_perfect(2, 2, budget=440).entries) == 18
-        with pytest.raises(BudgetExceededError, match="spent 440 units"):
-            enumerate_periodic_perfect(2, 2, budget=439)
+        # (2, 2): 17 matrices generated; the search spends 330 units, 289
+        # window digits placed plus 41 steps walked, over the 6 searched
+        assert len(enumerate_periodic_perfect(2, 2, budget=330).entries) == 18
+        with pytest.raises(BudgetExceededError, match="spent 330 units"):
+            enumerate_periodic_perfect(2, 2, budget=329)
         bipartite = (ParameterMatrix(((0, 2), (2, 0))),)
         for budget in BAD_BUDGETS:
             with pytest.raises(ValueError):
@@ -508,19 +570,28 @@ class TestEnumeratePeriodicPerfect:
                 enumerate_periodic_perfect(1, 2, matrices=bipartite, budget=budget)
 
     def test_budget_caps_candidate_matrices(self):
-        # the search of (1, 4) spends 105 units, but candidate_matrices
+        # the search of (1, 4) spends 97 units, but candidate_matrices
         # generates 176 support-symmetric matrices
         assert len(enumerate_periodic_perfect(1, 4, budget=176).entries) == 54
         with pytest.raises(BudgetExceededError, match="spent 176 units .support-symmetric"):
             enumerate_periodic_perfect(1, 4, budget=175)
         given = candidate_matrices(1, 4)
-        assert len(enumerate_periodic_perfect(1, 4, matrices=given, budget=105).entries) == 54
+        assert len(enumerate_periodic_perfect(1, 4, matrices=given, budget=97).entries) == 54
         with pytest.raises(BudgetExceededError, match="units .window digits placed"):
-            enumerate_periodic_perfect(1, 4, matrices=given, budget=104)
+            enumerate_periodic_perfect(1, 4, matrices=given, budget=96)
 
     def test_stats_report_the_units_spent(self):
         # the units spent are the least budget the search passes
-        assert enumerate_periodic_perfect(2, 2).stats["units"] == 440
+        assert enumerate_periodic_perfect(2, 2).stats["units"] == 330
+
+    def test_stats_count_leaf_cycles_and_dead_tap_cuts(self):
+        # (2, 2): 8 of the 12 cycles are K-pair necklaces recorded without a
+        # walk, and 7 subtrees of the other starts are cut on a dead tap
+        stats = enumerate_periodic_perfect(2, 2).stats
+        assert stats["cycles_found"] == 12
+        assert stats["k_pair_cycles"] == 8
+        assert stats["pruned_dead_tap"] == 7
+        assert stats["states_followed"] == 41
 
     def test_rejects_invalid_matrices(self):
         with pytest.raises(ValueError):
