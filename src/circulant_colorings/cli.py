@@ -271,6 +271,8 @@ def _cmd_check(args) -> int:
         raise UsageError("check needs --n")
     started = time.perf_counter()
     if args.theorem_k2:
+        if args.k not in (None, 2):
+            raise UsageError(f"--k {args.k} is not read by --theorem-k2, which uses 2 colors")
         report = check_theorem_k2(args.n, budget=args.budget)
     else:
         if args.k is None:

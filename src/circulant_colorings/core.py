@@ -16,7 +16,6 @@ Neighborhoods are always computed from offsets; an edge list is materialized
 only for rendering.  Every type here is immutable and every function is pure.
 """
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -98,7 +97,7 @@ def neighbor_offsets(dset: DistanceSet, t: int | None = None) -> tuple[int, ...]
     zeros (loops); the multiset always has exactly 2|D| entries, so degree is
     2|D| in every graph of the family.
     """
-    if t is None or t == math.inf:
+    if t is None:
         offs = [s * d for d in dset for s in (1, -1)]
     else:
         require_positive_int("order", t)

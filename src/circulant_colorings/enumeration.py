@@ -57,35 +57,17 @@ directly from the rows.  No visited set or path is kept, so memory is the
 output.
 
 Two rules keep the walks to the cycles Ci_{4n} = K_{2n,2n} does not
-already give (each argued in full in _prenecklace_windows).  The middle
-colors (a, b) = (c(2n-1), c(2n)) fix a window's content; when they are a K
-pair -- every color of r_a's support has row r_b and every color of r_b's
-support has row r_a -- the window's 4n-periodic extension is perfect, so
-the start's cycle is known without a walk and is recorded at the
-generator's leaf when the start is a necklace.  For the other pairs, step
-j <= 2n-2 reads only digits of the start, so a prefix whose taps have no
-forced color dies by that step and its subtree is cut while the start is
-built.  Each cycle's recolorings are canonical words already (a primitive
-period, least-rotated), so each coloring is built once, without
-re-validation.
+already give: a start whose middle colors form a K pair is recorded at the
+generator's leaf without a walk, and a start prefix whose taps force no
+color is cut while it is built.  _prenecklace_windows argues both.  Each
+cycle's recolorings are canonical words already (a primitive period,
+least-rotated), so each coloring is built once, without re-validation.
 
-Only matrices that some onto perfect coloring could have are searched.
-candidate_matrices keeps those that pass three necessary conditions, each
-argued in full in its docstring:
-
-* balance -- counting the i-j edges of one period from both ends gives class
-  densities p > 0 with p_i M_ij = p_j M_ji, on a support that is connected
-  because Ci(D_n) is;
-* parity -- Ci(D_n) is bipartite between even and odd integers, so the
-  colors on even vertices, A, determine those on odd vertices as the union
-  of the supports of A's rows, and consecutive same-parity vertices have
-  rows at most one unit transfer apart;
-* color symmetry -- a recoloring conjugates the matrix and maps its cycles
-  onto the cycles of the conjugate.
-
-So the window search runs once per S_k conjugacy orbit, on the orbit's least
-image, and each onto cycle it finds is expanded through the k! recolorings.
-The stats key matrices_tried counts those orbit representatives.
+Only the matrices of candidate_matrices are searched: its balance, parity
+and color-symmetry rules, each argued in its docstring, keep every matrix
+an onto perfect coloring can have.  The window search runs once per S_k
+conjugacy orbit, and each onto cycle it finds is expanded through the k!
+recolorings (enumerate_periodic_perfect).
 """
 
 from dataclasses import dataclass, field
@@ -696,12 +678,7 @@ def _prenecklace_windows(automaton: Automaton, meter: WorkMeter, stats: dict):
     stats["pruned_dead_tap"] += pruned
 
 
-def enumerate_periodic_perfect(
-    n: int,
-    k: int,
-    matrices: tuple[ParameterMatrix, ...] | None = None,
-    budget: int | None = None,
-) -> EnumerationResult:
+def enumerate_periodic_perfect(n: int, k: int, budget: int | None = None) -> EnumerationResult:
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
     Per searched matrix, each start of _prenecklace_windows is walked
@@ -710,6 +687,15 @@ def enumerate_periodic_perfect(
     window (see the module docstring).  A cycle's recolorings are least
     rotations of a primitive period over all k colors, so a coloring is
     built only for a word not found yet, and without re-validation.
+
+    Orbits.  The search runs once per S_k conjugacy orbit of
+    candidate_matrices.  The candidates are sorted by rows and closed under
+    conjugation, so the first member of an orbit the loop meets is the
+    orbit's least image; it is searched, and the rest of its orbit is
+    skipped.  Each onto cycle is reported under every recoloring, carrying
+    the conjugated matrix.  The entries do not depend on which member is
+    searched: a recoloring maps the cycles of a matrix onto the cycles of
+    its conjugate, so every member's cycles give the same recolored words.
 
     stats:
       matrices_tried -- orbit representatives searched;
@@ -720,14 +706,6 @@ def enumerate_periodic_perfect(
       colorings -- entries returned;
       units -- the budget units spent.
 
-    The matrices (candidate_matrices by default) are grouped into S_k
-    conjugacy orbits and only the least image of each orbit is searched.  A
-    recoloring maps the cycles of a matrix onto those of its image, so each
-    onto cycle is reported under every recoloring whose image matrix is one
-    of the given matrices, carrying that matrix object; caller-given
-    matrices therefore restrict the output exactly as a search of each of
-    them would, and must be k x k with every row summing to 2n.
-
     The budget's unit is one window digit placed while generating the
     starts, plus each walk's steps, spent when the walk ends.
     candidate_matrices counts the matrices it generates under the same budget.
@@ -737,31 +715,10 @@ def enumerate_periodic_perfect(
     meter = WorkMeter(
         budget, f"periodic search for n={n}, k={k}", "window digits placed plus steps walked"
     )
-    if matrices is None:
-        matrices = candidate_matrices(n, k, budget)
-    else:
-        for matrix in matrices:
-            Automaton(n, k, matrix)  # raises ValueError on a wrong size or row sum
-
-    colors = range(1, k + 1)
-    recolorings = tuple(permutations(colors))
-    given: dict[tuple[tuple[int, ...], ...], ParameterMatrix] = {}
-    for matrix in matrices:
-        given.setdefault(matrix.rows, matrix)
-    searched: set[tuple[tuple[int, ...], ...]] = set()
-    orbits = []  # (least image, [(recoloring, given matrix object)])
-    for matrix in given.values():
-        if matrix.rows in searched:
-            continue
-        representative = min((matrix.relabeled(p) for p in recolorings), key=lambda m: m.rows)
-        images = [(p, representative.relabeled(p)) for p in recolorings]
-        searched.update(image.rows for _, image in images)
-        targets = [(p, given[image.rows]) for p, image in images if image.rows in given]
-        orbits.append((representative, targets))
-
+    recolorings = tuple(permutations(range(1, k + 1)))
     found: dict[tuple[int, ...], Entry] = {}
     stats = {
-        "matrices_tried": len(orbits),
+        "matrices_tried": 0,
         "states_followed": 0,
         "cycles_found": 0,
         "k_pair_cycles": 0,
@@ -781,8 +738,14 @@ def enumerate_periodic_perfect(
     top = k ** (4 * n - 1)  # weight of offset 0
     weight_a = k ** (2 * n)  # offset 2n-1
     weight_b = k ** (2 * n - 2)  # offset 2n+1
-    for representative, targets in orbits:
-        automaton = Automaton(n, k, representative)
+    searched: set[tuple[tuple[int, ...], ...]] = set()
+    for matrix in candidate_matrices(n, k, budget):
+        if matrix.rows in searched:
+            continue
+        targets = [(p, matrix.relabeled(p)) for p in recolorings]
+        searched.update(image.rows for _, image in targets)
+        stats["matrices_tried"] += 1
+        automaton = Automaton(n, k, matrix)
         step = automaton.table
         for start, period in _prenecklace_windows(automaton, meter, stats):
             if period is not None:

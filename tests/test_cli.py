@@ -315,6 +315,14 @@ class TestCheck:
         code, _ = run(tmp_path, "check", "--n", "1")
         assert code == 2
 
+    def test_theorem_k2_rejects_another_k(self, tmp_path):
+        code, text = run(tmp_path, "check", "--theorem-k2", "--n", "1", "--k", "5")
+        assert code == 2
+        assert text == ""
+        code, text = run(tmp_path, "check", "--theorem-k2", "--n", "1", "--k", "2")
+        assert code == 0
+        assert json.loads(text)["k"] == 2
+
 
 class TestExportDot:
     def test_doubled_edges_rendered_twice(self, tmp_path):

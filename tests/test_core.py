@@ -1,6 +1,7 @@
 """Domain model: distance sets, graphs, colorings, matrices, JSON."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -78,7 +79,7 @@ class TestNeighborOffsets:
         assert neighbor_offsets(DistanceSet((2,)), 2) == (0, 0)
 
     def test_rejects_non_integer_order(self):
-        for t in (0, 6.7, 6.0, True):
+        for t in (0, 6.7, 6.0, True, math.inf):
             with pytest.raises(ValueError):
                 neighbor_offsets(DistanceSet((1, 3)), t)
 

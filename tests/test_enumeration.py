@@ -493,28 +493,13 @@ class TestThreeTapEngine:
                     assert successors == ([] if forced is None else [forced]), (matrix, window)
 
     def test_matches_table_oracle(self, periodic_k2):
-        # entries and the given matrix objects, against the per-matrix table
-        # walk: the unpruned cross-check of the K-pair leaf cycles and the
-        # dead-tap cuts, which the oracle does not use
+        # entries with their matrices, against the per-matrix table walk over
+        # every candidate matrix: the cross-check of the K-pair leaf cycles,
+        # the dead-tap cuts and the orbit fold, none of which the oracle uses
         for n, k in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5)):
-            mats = candidate_matrices(n, k)
-            result = enumerate_periodic_perfect(n, k, matrices=mats)
-            oracle = table_periodic_search(n, k, mats)
+            result = periodic_k2[n] if k == 2 else enumerate_periodic_perfect(n, k)
+            oracle = table_periodic_search(n, k, candidate_matrices(n, k))
             assert result.entries == oracle.entries, (n, k)
-            assert all(m is o for (_, m), (_, o) in zip(result.entries, oracle.entries)), (n, k)
-            if k == 2:
-                assert result.entries == periodic_k2[n].entries, n
-
-    def test_random_matrix_subsets_match_oracle(self):
-        rng = random.Random(20261018)
-        for n, k in ((2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (1, 5)):
-            mats = candidate_matrices(n, k)
-            for _ in range(4):
-                subset = tuple(rng.sample(mats, rng.randint(1, len(mats))))
-                result = enumerate_periodic_perfect(n, k, matrices=subset)
-                oracle = table_periodic_search(n, k, subset)
-                assert result.entries == oracle.entries, (n, k, subset)
-                assert all(m is o for (_, m), (_, o) in zip(result.entries, oracle.entries))
 
 
 class TestEnumeratePeriodicPerfect:
@@ -562,12 +547,9 @@ class TestEnumeratePeriodicPerfect:
         assert len(enumerate_periodic_perfect(2, 2, budget=330).entries) == 18
         with pytest.raises(BudgetExceededError, match="spent 330 units"):
             enumerate_periodic_perfect(2, 2, budget=329)
-        bipartite = (ParameterMatrix(((0, 2), (2, 0))),)
         for budget in BAD_BUDGETS:
             with pytest.raises(ValueError):
                 enumerate_periodic_perfect(1, 2, budget=budget)
-            with pytest.raises(ValueError):
-                enumerate_periodic_perfect(1, 2, matrices=bipartite, budget=budget)
 
     def test_budget_caps_candidate_matrices(self):
         # the search of (1, 4) spends 97 units, but candidate_matrices
@@ -575,10 +557,7 @@ class TestEnumeratePeriodicPerfect:
         assert len(enumerate_periodic_perfect(1, 4, budget=176).entries) == 54
         with pytest.raises(BudgetExceededError, match="spent 176 units .support-symmetric"):
             enumerate_periodic_perfect(1, 4, budget=175)
-        given = candidate_matrices(1, 4)
-        assert len(enumerate_periodic_perfect(1, 4, matrices=given, budget=97).entries) == 54
-        with pytest.raises(BudgetExceededError, match="units .window digits placed"):
-            enumerate_periodic_perfect(1, 4, matrices=given, budget=96)
+        assert enumerate_periodic_perfect(1, 4).stats["units"] == 97
 
     def test_stats_report_the_units_spent(self):
         # the units spent are the least budget the search passes
@@ -593,35 +572,33 @@ class TestEnumeratePeriodicPerfect:
         assert stats["pruned_dead_tap"] == 7
         assert stats["states_followed"] == 41
 
-    def test_rejects_invalid_matrices(self):
-        with pytest.raises(ValueError):
-            enumerate_periodic_perfect(1, 2, matrices=(ParameterMatrix(((2, 0, 0),) * 3),))
-        with pytest.raises(ValueError):
-            enumerate_periodic_perfect(1, 2, matrices=(ParameterMatrix(((0, 4), (4, 0))),))
+    def test_rejects_invalid_sizes(self):
         for n, k in ((True, 2), (1, 2.0), (0, 2)):
             with pytest.raises(ValueError):
                 enumerate_periodic_perfect(n, k)
             with pytest.raises(ValueError):
                 check_conjecture(n, k)
 
-    def test_restricting_matrices_restricts_output(self, periodic_k2):
-        bipartite = ParameterMatrix(((0, 4), (4, 0)))
-        result = enumerate_periodic_perfect(2, 2, matrices=(bipartite,))
-        assert result.words() == {(1, 2)}
-        assert result.words() < periodic_k2[2].words()
-        # a single conjugate that is not its orbit's least image
-        conjugate = ParameterMatrix(((3, 1), (2, 2)))
-        result = enumerate_periodic_perfect(2, 2, matrices=(conjugate,))
-        assert result.words() == {(1, 1, 2)}
-        assert result.entries == tuple(e for e in periodic_k2[2].entries if e[1] == conjugate)
-
     def test_pruned_matrices_match_unpruned(self, periodic_k2):
-        # soundness of the pruning rules: searching every row-sum-2n matrix
-        # finds nothing the pruned, orbit-wise search misses
+        # soundness of the matrix rules and of the orbit fold: the table walk
+        # over every row-sum-2n matrix, with no pruning rule, K-pair leaf or
+        # orbit fold, finds exactly the entries of the search
         for n, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)):
             default = periodic_k2[n] if k == 2 else enumerate_periodic_perfect(n, k)
-            unpruned = enumerate_periodic_perfect(n, k, matrices=all_row_sum_matrices(n, k))
+            unpruned = table_periodic_search(n, k, all_row_sum_matrices(n, k))
             assert unpruned.entries == default.entries, (n, k)
+
+    def test_entries_do_not_depend_on_the_orbit_member_searched(self, monkeypatch):
+        # reversed, the candidates meet each orbit at its greatest image
+        # first; a recoloring maps cycles onto cycles, so the words and their
+        # matrices are the same
+        expected = {size: enumerate_periodic_perfect(*size) for size in ((2, 2), (2, 3), (1, 4))}
+        candidates = enumeration.candidate_matrices
+        monkeypatch.setattr(
+            enumeration, "candidate_matrices", lambda n, k, budget=None: candidates(n, k)[::-1]
+        )
+        for size, result in expected.items():
+            assert enumerate_periodic_perfect(*size).entries == result.entries, size
 
     def test_deterministic(self):
         a = enumerate_periodic_perfect(2, 2)
