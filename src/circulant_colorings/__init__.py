@@ -11,7 +11,6 @@ for them exhaustively, and cross-checks the constructions for completeness.
 from .core import (
     BudgetExceededError,
     DistanceSet,
-    FiniteCirculant,
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
@@ -22,7 +21,6 @@ from .core import (
     neighbor_color_counts,
     neighbor_offsets,
     primitive_period,
-    verify_covering,
 )
 from .perfection import (
     PerfectionVerdict,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "DistanceSet",
-    "FiniteCirculant",
     "FiniteColoring",
     "ParameterMatrix",
     "PeriodicColoring",
@@ -75,7 +72,6 @@ __all__ = [
     "neighbor_color_counts",
     "neighbor_offsets",
     "primitive_period",
-    "verify_covering",
     "PerfectionVerdict",
     "admissible_matrix_templates",
     "check_even_odd_balance",

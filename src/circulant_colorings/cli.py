@@ -16,7 +16,6 @@ from .core import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     DistanceSet,
-    FiniteCirculant,
     FiniteColoring,
     PeriodicColoring,
     coloring_from_json,
@@ -61,24 +60,19 @@ def _parse_distances(text: str) -> DistanceSet:
     return DistanceSet(_parse_int_list(text, "--distances"))
 
 
-def _infer_k(word: tuple[int, ...], override: int | None) -> int:
-    return max(word) if override is None else override
-
-
 def _load_coloring(args):
-    """Coloring from --coloring: inline comma list or a JSON file path."""
+    """Coloring from --coloring: inline comma list or a JSON file path.
+
+    An inline word's k is its largest color; a file keeps its own t and k.
+    """
     text = args.coloring
     if all(part.strip().lstrip("-").isdigit() for part in text.split(",") if part):
         word = _parse_int_list(text, "--coloring")
         if args.distances is None:
             raise UsageError("--distances is required with an inline coloring")
         dset = _parse_distances(args.distances)
-        k = _infer_k(word, args.k)
-        if getattr(args, "infinite", False):
-            return PeriodicColoring(word, k), dset
-        if getattr(args, "t", None) is not None and args.t != len(word):
-            raise UsageError(f"--t {args.t} does not match the coloring length {len(word)}")
-        return FiniteColoring(word, k), dset
+        kind = PeriodicColoring if args.infinite else FiniteColoring
+        return kind(word, max(word)), dset
     try:
         with open(text) as fh:
             data = json.load(fh)
@@ -89,13 +83,8 @@ def _load_coloring(args):
     coloring, dset = coloring_from_json(data)
     if args.distances is not None and _parse_distances(args.distances) != dset:
         raise UsageError("--distances conflicts with the distances stored in the file")
-    if args.k is not None and args.k != coloring.k:
-        raise UsageError(f"--k {args.k} conflicts with k={coloring.k} stored in the file")
-    finite = isinstance(coloring, FiniteColoring)
-    if getattr(args, "infinite", False) and finite:
+    if args.infinite and isinstance(coloring, FiniteColoring):
         raise UsageError("--infinite conflicts with the finite coloring stored in the file")
-    if getattr(args, "t", None) is not None and not (finite and args.t == coloring.t):
-        raise UsageError(f"--t {args.t} does not match the {data['kind']} coloring in the file")
     return coloring, dset
 
 
@@ -137,8 +126,6 @@ def _parse_symmetry(text: str | None, default: str) -> tuple[bool, bool, bool]:
 
 
 def _cmd_verify(args) -> int:
-    if args.infinite and args.t is not None:
-        raise UsageError("--t is not read by verify --infinite")
     coloring, dset = _load_coloring(args)
     verdict = check_perfect(coloring, dset)
     if args.format == "json":
@@ -295,13 +282,13 @@ def _cmd_export_dot(args) -> int:
         raise UsageError("export-dot expects a finite coloring")
     if coloring.t > 512:
         raise UsageError(f"refusing to render {coloring.t} vertices (limit 512)")
-    graph = FiniteCirculant(coloring.t, dset)
-    lines = [f"graph circulant_{coloring.t} {{", "  layout=circo;", '  node [shape=circle, style=filled];']
-    for v in range(coloring.t):
+    t = coloring.t
+    lines = [f"graph circulant_{t} {{", "  layout=circo;", '  node [shape=circle, style=filled];']
+    for v in range(t):
         fill = DOT_PALETTE[(coloring.word[v] - 1) % len(DOT_PALETTE)]
         lines.append(f'  {v} [fillcolor="{fill}"];')
-    for u, v in graph.edges():
-        lines.append(f"  {u} -- {v};")
+    # one line per (vertex, distance) incidence, so multiedges repeat
+    lines.extend(f"  {u} -- {(u + d) % t};" for u in range(t) for d in dset)
     lines.append("}")
     _emit("".join(line + "\n" for line in lines), args)
     return 0
@@ -333,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[fmt], help="check one coloring for perfection")
     p.add_argument("--coloring", required=True, help="comma list or JSON file")
     p.add_argument("--distances", default=None, help="comma list, e.g. 1,3")
-    p.add_argument("--t", type=int, default=None, help="vertex count; must match the word length")
-    p.add_argument("--k", type=int, default=None, help="color count (default: max color used)")
     p.add_argument("--infinite", action="store_true", help="treat the word as a period")
     p.set_defaults(handler=_cmd_verify)
 
@@ -362,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", parents=[fmt], help="pull a finite coloring back to Z")
     p.add_argument("--coloring", required=True, help="comma list or JSON file")
     p.add_argument("--distances", default=None)
-    p.add_argument("--k", type=int, default=None)
     p.set_defaults(handler=_cmd_induce, infinite=False)
 
     p = sub.add_parser(
@@ -376,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", parents=[out], help="render a finite colored graph as DOT")
     p.add_argument("--coloring", required=True, help="comma list or JSON file")
     p.add_argument("--distances", default=None)
-    p.add_argument("--k", type=int, default=None)
     p.set_defaults(handler=_cmd_export_dot, infinite=False)
 
     return parser

@@ -105,35 +105,6 @@ def neighbor_offsets(dset: DistanceSet, t: int | None = None) -> tuple[int, ...]
     return tuple(sorted(offs))
 
 
-@dataclass(frozen=True)
-class FiniteCirculant:
-    """Circulant pseudograph on Z_t: vertex i is adjacent to i +- d mod t."""
-
-    order: int
-    dset: DistanceSet
-
-    def __post_init__(self):
-        require_positive_int("order", self.order)
-
-    @property
-    def degree(self) -> int:
-        return 2 * len(self.dset)
-
-    def offsets(self) -> tuple[int, ...]:
-        return neighbor_offsets(self.dset, self.order)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbor multiset of v, sorted, loops included twice."""
-        return tuple(sorted((v + o) % self.order for o in self.offsets()))
-
-    def edges(self) -> list[tuple[int, int]]:
-        """One (u, v) pair per (vertex, distance); repeats encode multiedges.
-
-        For rendering only -- neighborhood computations use offsets().
-        """
-        return [(i, (i + d) % self.order) for i in range(self.order) for d in self.dset]
-
-
 def _validate_word(word: tuple[int, ...], k: int) -> None:
     require_positive_int("k", k)
     if not word:
@@ -243,21 +214,6 @@ def neighbor_color_counts(
         counts[word[(v + d) % length] - 1] += 1
         counts[word[(v - d) % length] - 1] += 1
     return tuple(counts)
-
-
-def verify_covering(dset: DistanceSet, t: int) -> bool:
-    """Check that reduction mod t maps neighborhoods onto neighborhoods.
-
-    For every vertex i of the infinite graph, the reduced multiset
-    {(i + o) mod t : o in +-D} must equal the neighbor multiset of i mod t in
-    Ci_t(D).  One period of lifts suffices since both sides shift with i.
-    """
-    infinite = neighbor_offsets(dset)
-    graph = FiniteCirculant(t, dset)
-    return all(
-        tuple(sorted((i + o) % t for o in infinite)) == graph.neighbors(i % t)
-        for i in range(t)
-    )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .perfection import (
     check_local_patterns,
     check_perfect,
     check_period_length_claim,
-    is_bipartite_coloring,
     outer_degrees,
 )
 from .constructors import path_colorings
@@ -118,15 +117,6 @@ class InducedSet:
 
     def words(self) -> set[tuple[int, ...]]:
         return {e.coloring.word for e in self.entries}
-
-    def entry_for(self, word: tuple[int, ...]) -> InducedEntry | None:
-        for e in self.entries:
-            if e.coloring.word == word:
-                return e
-        return None
-
-    def tag_counts(self) -> dict[str, int]:
-        return dict(Counter(tag for e in self.entries for tag in sorted(e.tags)))
 
 
 def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
@@ -252,8 +242,8 @@ def structural_regression_suite(n: int, budget: int | None = None) -> Regression
     Every claim is checked against every coloring found by exhaustive search,
     with matrices recomputed from scratch: outer degree sums land in
     {4n, 2n, 2n+1, 2n-1}; the two local propagation patterns hold; the stated
-    period lengths divide the primitive period; and non-bipartite colorings
-    of even period balance their colors across the two parities.
+    period lengths divide the primitive period; and each coloring of even
+    period is bipartite or balances its colors across the two parities.
     """
     dset = make_odd_distance_set(n)
     result = enumerate_periodic_perfect(n, 2, budget=budget)
@@ -281,9 +271,8 @@ def structural_regression_suite(n: int, budget: int | None = None) -> Regression
             fail("local_patterns", coloring.word)
         if not check_period_length_claim(coloring, n):
             fail("period_lengths", coloring.word)
-        if coloring.period % 2 == 0 and not is_bipartite_coloring(coloring, dset):
-            if not check_even_odd_balance(coloring):
-                fail("parity_balance", coloring.word)
+        if coloring.period % 2 == 0 and not check_even_odd_balance(coloring):
+            fail("parity_balance", coloring.word)
 
     return RegressionReport(
         n,

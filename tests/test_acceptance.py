@@ -196,7 +196,7 @@ def test_criterion_09_infinite_only_coloring(induced_k7):
                       "induced by no finite quotient"):
         rainbow = PeriodicColoring(tuple(range(1, 8)), 7)
         assert check_perfect(rainbow, D2).is_perfect
-        entry = induced_k7.entry_for(rainbow.word)
+        entry = {e.coloring.word: e for e in induced_k7.entries}.get(rainbow.word)
         assert entry is not None
         assert entry.tags == frozenset({"from_path"})
         finite_tagged = {

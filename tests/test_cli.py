@@ -1,5 +1,6 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
+import ast
 import json
 import shlex
 from pathlib import Path
@@ -29,8 +30,7 @@ def run(tmp_path, *argv):
 class TestVerify:
     def test_perfect_finite(self, tmp_path):
         code, text = run(
-            tmp_path, "verify", "--distances", "1,3", "--t", "8",
-            "--coloring", "1,2,1,1,3,3,2,1",
+            tmp_path, "verify", "--distances", "1,3", "--coloring", "1,2,1,1,3,3,2,1",
         )
         assert code == 0
         payload = json.loads(text)
@@ -52,6 +52,12 @@ class TestVerify:
         )
         assert code == 0
         assert text.splitlines() == ["perfect", "  0 4", "  4 0"]
+        code, text = run(
+            tmp_path, "verify", "--distances", "1,3", "--coloring", "1,1,1,2,2,2",
+            "--format", "table",
+        )
+        assert code == 1
+        assert text == "not perfect: vertices 0 and 1 share a color but differ\n"
 
     def test_infinite_word(self, tmp_path):
         code, text = run(
@@ -60,13 +66,6 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(text)["perfect"] is True
-
-    def test_length_mismatch_is_usage_error(self, tmp_path):
-        code, _ = run(
-            tmp_path, "verify", "--distances", "1,3", "--t", "6",
-            "--coloring", "1,2,1,1,3,3,2,1",
-        )
-        assert code == 2
 
     def test_coloring_from_json_file(self, tmp_path):
         path = tmp_path / "coloring.json"
@@ -91,23 +90,20 @@ class TestVerify:
             code, _ = run(tmp_path, "verify", "--coloring", str(path))
             assert code == 2, field
 
-    @pytest.mark.parametrize("options", [("--t", "99"), ("--k", "7"), ("--infinite",)])
-    def test_file_options_must_agree_with_the_file(self, tmp_path, capsys, options):
+    def test_file_options_must_agree_with_the_file(self, tmp_path, capsys):
         path = tmp_path / "coloring.json"
         data = coloring_to_json(FiniteColoring((1, 2) * 4, 2), DistanceSet((1, 3)))
         path.write_text(json.dumps(data))
-        assert run(tmp_path, "verify", "--coloring", str(path), "--t", "8", "--k", "2")[0] == 0
-        code, _ = run(tmp_path, "verify", "--coloring", str(path), *options)
+        assert run(tmp_path, "verify", "--coloring", str(path))[0] == 0
+        code, _ = run(tmp_path, "verify", "--coloring", str(path), "--infinite")
         assert code == 2
-        assert "usage error: --" in capsys.readouterr().err
+        assert "usage error: --infinite " in capsys.readouterr().err
 
-    def test_periodic_file_has_no_vertex_count(self, tmp_path, capsys):
+    def test_periodic_file_has_no_vertex_count(self, tmp_path):
         path = tmp_path / "coloring.json"
         data = coloring_to_json(PeriodicColoring((1, 2), 2), DistanceSet((1, 3)))
         path.write_text(json.dumps(data))
         assert run(tmp_path, "verify", "--coloring", str(path), "--infinite")[0] == 0
-        assert run(tmp_path, "verify", "--coloring", str(path), "--t", "2")[0] == 2
-        assert "usage error: --t 2 " in capsys.readouterr().err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -133,6 +129,17 @@ class TestEnumerate:
         assert code == 0
         words = [tuple(json.loads(line)["coloring"]["word"]) for line in text.splitlines()]
         assert words == [(1, 1, 2), (1, 1, 2, 2), (1, 2)]
+
+    def test_infinite_table_format(self, tmp_path):
+        code, text = run(
+            tmp_path, "enumerate", "--infinite", "--n", "1", "--k", "2", "--format", "table"
+        )
+        assert code == 0
+        assert text.splitlines() == [
+            "1,1,2  [[1, 1], [2, 0]]",
+            "1,1,2,2  [[1, 1], [1, 1]]",
+            "1,2  [[0, 2], [2, 0]]",
+        ]
 
     def test_infinite_rotation_only(self, tmp_path):
         code, text = run(
@@ -273,6 +280,14 @@ class TestInduce:
         assert payload["coloring"]["word"] == [1, 2]
         assert payload["matrix"] == [[0, 4], [4, 0]]
 
+    def test_table_format(self, tmp_path):
+        code, text = run(
+            tmp_path, "induce", "--distances", "1,3", "--coloring", "1,2,1,1,3,3,2,1",
+            "--format", "table",
+        )
+        assert code == 0
+        assert text == "1,1,2,1,1,3,3,2  [[2, 1, 1], [2, 1, 1], [2, 1, 1]]\n"
+
     def test_non_perfect_exits_one(self, tmp_path):
         code, _ = run(
             tmp_path, "induce", "--distances", "1,3", "--coloring", "1,1,1,2,2,2"
@@ -364,6 +379,11 @@ class TestExportDot:
         ("export-dot", "--distances", "1,3", "--coloring", "1,2", "--budget", "5"),
         ("export-dot", "--distances", "1,3", "--coloring", "1,2", "--format", "table"),
         ("check", "--n", "1", "--k", "2", "--format", "table"),
+        ("verify", "--distances", "1,3", "--coloring", "1,2,1,2,1,2,1,2", "--t", "8"),
+        ("verify", "--distances", "1,3", "--coloring", "1,2", "--k", "2"),
+        ("induce", "--distances", "1,3", "--coloring", "1,2", "--k", "2"),
+        ("export-dot", "--distances", "1,3", "--coloring", "1,2", "--k", "2"),
+        ("verify", "--infinite", "--distances", "1,3", "--coloring", "1,2", "--t", "7"),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
@@ -393,7 +413,6 @@ def test_options_a_construct_family_does_not_read_are_rejected(argv, capsys):
         ("enumerate", "--t", "6", "--distances", "1,3", "--k", "2", "--n", "9"),
         ("enumerate", "--infinite", "--n", "1", "--k", "2", "--t", "99"),
         ("enumerate", "--infinite", "--n", "1", "--k", "2", "--distances", "5"),
-        ("verify", "--infinite", "--distances", "1,3", "--coloring", "1,2", "--t", "7"),
     ],
 )
 def test_options_a_mode_does_not_read_are_rejected(argv, capsys):
@@ -401,11 +420,47 @@ def test_options_a_mode_does_not_read_are_rejected(argv, capsys):
     assert f"usage error: {argv[-2]} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--coloring", "1,2"), "--distances is required with an inline coloring"),
+        (("verify", "--coloring", "missing.json"), "cannot read coloring file 'missing.json'"),
+        (
+            ("verify", "--distances", "1,x", "--coloring", "1,2"),
+            "--distances must be a comma-separated list of integers, got '1,x'",
+        ),
+        (("enumerate", "--infinite", "--k", "2"), "--infinite enumeration needs --n"),
+        (("enumerate", "--t", "6", "--k", "2"), "finite enumeration needs --t and --distances"),
+        (("enumerate", "--distances", "1", "--k", "2"), "finite enumeration needs --t and --distances"),
+        (("construct", "--family", "balanced"), "--family balanced needs --n"),
+        (("construct", "--family", "matched", "--n", "1"), "--family matched needs --n and --t"),
+        (("induce", "--coloring", "periodic.json"), "induce expects a finite coloring"),
+        (("export-dot", "--coloring", "periodic.json"), "export-dot expects a finite coloring"),
+        (("check", "--k", "2"), "check needs --n"),
+        (
+            ("export-dot", "--distances", "1", "--coloring", ",".join(["1"] * 513)),
+            "refusing to render 513 vertices (limit 512)",
+        ),
+    ],
+)
+def test_usage_errors_exit_two(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = coloring_to_json(PeriodicColoring((1, 2), 2), DistanceSet((1, 3)))
+    Path("periodic.json").write_text(json.dumps(data))
+    assert main(list(argv)) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def readme_block(heading, language):
+    """The first `language` code block under the README's `## heading`."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_examples():
     """The commands in the sh block under the README's "## Command line"."""
-    text = (Path(__file__).parent.parent / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     return [shlex.split(line) for line in block.splitlines() if line.strip()]
 
 
@@ -418,3 +473,26 @@ class TestReadmeExamples:
             assert argv[0] == "circulant-colorings", argv
             assert main(argv[1:]) == 0, argv
             capsys.readouterr()
+
+    def test_library_tour_values(self):
+        # Exec the tour, then check what its comments state: a comment that is
+        # a Python literal is the value of its line's expression.
+        block = readme_block("Library tour", "python")
+        namespace = {}
+        exec(block, namespace)
+        stated = []
+        for line in block.splitlines():
+            code, _, comment = line.partition("  # ")
+            try:
+                value = ast.literal_eval(comment.strip())
+            except (ValueError, SyntaxError):
+                continue
+            stated.append((code.strip(), value))
+        assert [value for _, value in stated] == [
+            True, ((2, 1, 1), (2, 1, 1), (2, 1, 1)), (1, 2), "confirmed"
+        ]
+        for code, value in stated:
+            assert eval(code, namespace) == value, code
+        f, r = namespace["f"], namespace["r"]
+        assert (len(f.words()), f.stats["classes_examined"]) == (70, 35)
+        assert (len(r.entries), r.stats["states_followed"]) == (18, 41)

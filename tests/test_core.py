@@ -10,7 +10,6 @@ import circulant_colorings
 from circulant_colorings import (
     BudgetExceededError,
     DistanceSet,
-    FiniteCirculant,
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
@@ -26,7 +25,6 @@ from circulant_colorings import (
     neighbor_color_counts,
     neighbor_offsets,
     primitive_period,
-    verify_covering,
 )
 from conftest import edge_multiset_adjacency, oracle_counts
 
@@ -83,27 +81,12 @@ class TestNeighborOffsets:
             with pytest.raises(ValueError):
                 neighbor_offsets(DistanceSet((1, 3)), t)
 
-
-class TestFiniteCirculant:
-    def test_degree_counts_multiplicity(self):
-        g = FiniteCirculant(6, DistanceSet((1, 3)))
-        assert g.degree == 4
-
     def test_neighbors_match_edge_multiset(self):
         for t, dists in ((6, (1, 3)), (8, (1, 3)), (2, (1,)), (10, (1, 3, 5))):
-            g = FiniteCirculant(t, DistanceSet(dists))
+            offsets = neighbor_offsets(DistanceSet(dists), t)
             adj = edge_multiset_adjacency(t, dists)
             for v in range(t):
-                assert sorted(g.neighbors(v)) == adj[v], (t, dists, v)
-
-    def test_edge_count(self):
-        g = FiniteCirculant(6, DistanceSet((1, 3)))
-        assert len(g.edges()) == 12
-
-    def test_rejects_non_integer_order(self):
-        for t in (0, True, 6.0):
-            with pytest.raises(ValueError):
-                FiniteCirculant(t, DistanceSet((1,)))
+                assert sorted((v + o) % t for o in offsets) == adj[v], (t, dists, v)
 
 
 class TestColoringValidation:
@@ -199,13 +182,6 @@ class TestNeighborColorCounts:
             assert neighbor_color_counts(c, d, v) == neighbor_color_counts(c, d, v + 5)
 
 
-class TestCovering:
-    def test_reduction_preserves_adjacency_counts(self):
-        for t in (2, 4, 6, 8, 10):
-            assert verify_covering(DistanceSet((1, 3)), t)
-        assert verify_covering(DistanceSet((1,)), 2)
-
-
 class TestParameterMatrix:
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -286,6 +262,25 @@ class TestJsonRoundTrip:
         data["word"] = [1, 0]
         with pytest.raises(ValueError):
             coloring_from_json(data)
+
+    def test_rejects_missing_key_or_non_dict(self):
+        data = coloring_to_json(FiniteColoring((1, 2), 2), DistanceSet((1,)))
+        del data["k"]
+        for record in (data, [1, 2], None):
+            with pytest.raises(ValueError, match="malformed coloring record"):
+                coloring_from_json(record)
+
+    def test_rejects_length_other_than_word_length(self):
+        data = coloring_to_json(FiniteColoring((1, 2), 2), DistanceSet((1,)))
+        data["t_or_period"] = 3
+        with pytest.raises(ValueError, match="does not match word length 2"):
+            coloring_from_json(data)
+
+    def test_rejects_empty_word(self):
+        for kind in ("finite", "periodic"):
+            data = {"kind": kind, "t_or_period": 0, "k": 1, "word": [], "distances": [1]}
+            with pytest.raises(ValueError, match="must be nonempty"):
+                coloring_from_json(data)
 
     def test_rejects_non_integer_length(self):
         # True == 1 and 2.0 == 2 would pass a bare length comparison

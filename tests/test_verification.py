@@ -76,17 +76,6 @@ class TestBuildInducedSet:
                 verdict = check_perfect(e.coloring, dset)
                 assert verdict.is_perfect and verdict.matrix == e.matrix, (n, k, e)
 
-    def test_entry_lookup(self):
-        ind = build_induced_set(1, 2)
-        assert ind.entry_for((1, 2)) is not None
-        assert ind.entry_for((1, 2, 2, 2)) is None
-
-    def test_tag_counts_sum(self):
-        ind = build_induced_set(1, 2)
-        counts = ind.tag_counts()
-        assert counts["from_path"] == 4
-        assert counts["from_4n"] == 2
-
 
 class TestCompletenessChecks:
     def test_theorem_confirmed_smallest(self):
