@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 from math import factorial
-from operator import gt
+from operator import gt, sub
 
 from .core import (
     DistanceSet,
@@ -401,40 +401,40 @@ def _has_parity_split(rows: tuple[tuple[int, ...], ...]) -> bool:
     B is the union of the supports of the rows in A; the split needs
     A | B = all colors, supp(r_c) <= A for c in B, and A and B each connected
     when colors whose rows differ by at most one unit transfer (L1 <= 2) are
-    joined.  Color sets are bitmasks over the color indices.
+    joined.  The support must be symmetric and connected, as _is_balanced
+    ensures, and then two splits are all there is to try.  A color c in
+    A & B has supp(r_c) <= B, as c is in A, and supp(r_c) <= A, as c is in
+    B; so A & B is closed under the support and is every color or none.  In
+    the first case A = B = all colors, consistent exactly when all colors
+    are connected.  In the second, A and B are disjoint and every support
+    edge joins them, so they are the support's bipartition, unique up to a
+    swap under which the conditions are symmetric, and consistent exactly
+    when each side is connected.
     """
-    k = len(rows)
-    support = [sum(1 << j for j, count in enumerate(row) if count) for row in rows]
-    near = [
-        sum(1 << b for b in range(k) if sum(abs(x - y) for x, y in zip(rows[a], rows[b])) <= 2)
-        for a in range(k)
-    ]
 
-    def connected(colors: int) -> bool:
-        reached = colors & -colors
-        while True:
-            grown = reached
-            for a in range(k):
-                if reached >> a & 1:
-                    grown |= near[a] & colors
-            if grown == reached:
-                return reached == colors
-            reached = grown
+    def connected(group: list[tuple[int, ...]]) -> bool:
+        """Whether the rows of group are joined by steps of L1 distance <= 2."""
+        reached, rest = group[:1], group[1:]
+        for row in reached:
+            left = []
+            for other in rest:
+                (reached if sum(map(abs, map(sub, row, other))) <= 2 else left).append(other)
+            rest = left
+        return not rest
 
-    everything = (1 << k) - 1
-    for even in range(1, everything + 1):
-        odd = 0
-        for c in range(k):
-            if even >> c & 1:
-                odd |= support[c]
-        if (
-            even | odd == everything
-            and not any(odd >> c & 1 and support[c] & ~even for c in range(k))
-            and connected(even)
-            and connected(odd)
-        ):
-            return True
-    return False
+    if connected(list(rows)):
+        return True
+    # Two-color the support by BFS from color 0; an odd cycle rules out A & B = {}.
+    side: list[int | None] = [0] + [None] * (len(rows) - 1)
+    queue = [0]
+    for i in queue:
+        for j, count in enumerate(rows[i]):
+            if count and side[j] is None:
+                side[j] = 1 - side[i]
+                queue.append(j)
+            elif count and side[j] == side[i]:
+                return False
+    return all(connected([row for row, s in zip(rows, side) if s == half]) for half in (0, 1))
 
 
 def candidate_matrices(
@@ -454,15 +454,13 @@ def candidate_matrices(
       row by row during generation) and every cycle of the support agrees on
       p.  Ci(D_n) is connected (1 is in D_n) and every color is used, so the
       support is connected too.
-    * Parity.  Ci(D_n) is bipartite between even and odd integers.  Let A be
-      the colors on even vertices.  Their neighbors are odd and every odd
-      vertex has an even neighbor, so the colors on odd vertices are exactly
-      B = union of supp(r_c) for c in A, and A | B = [k] since the coloring is
-      onto; a color c in B sits on an odd vertex whose neighbors are even, so
-      supp(r_c) <= A.  N(v+2) = N(v) - {v-2n+1} + {v+2n+1}, so consecutive
-      same-parity vertices have rows that differ by e_x - e_y or by 0; walking
-      the even (or odd) vertices visits every color of A (or B) in steps of
-      L1 distance <= 2, so both are connected under that relation.
+    * Parity.  Ci(D_n) is bipartite between even and odd integers.  With A
+      and B the colors on even and odd vertices, every odd vertex has an
+      even neighbor, so B = union of supp(r_c) for c in A, A | B = [k] as the
+      coloring is onto, and supp(r_c) <= A for c in B.  Consecutive
+      same-parity vertices have rows equal or one unit transfer apart
+      (N(v+2) = N(v) - {v-2n+1} + {v+2n+1}), so A and B are each connected
+      under that relation.  _has_parity_split tries the only two splits.
     * Color symmetry.  A recoloring of a perfect coloring is perfect with
       the conjugated matrix, and both rules above are invariant under
       conjugation, so the returned set is closed under it;

@@ -229,6 +229,49 @@ def all_row_sum_matrices(n, k):
     return tuple(ParameterMatrix(combo) for combo in itertools.product(rows, repeat=k))
 
 
+def subset_parity_split(rows):
+    """Whether some split into even colors A and odd colors B is consistent.
+
+    B is the union of the supports of the rows in A; the split needs
+    A | B = all colors, supp(r_c) <= A for c in B, and A and B each connected
+    when colors whose rows differ by at most one unit transfer (L1 <= 2) are
+    joined.  Every one of the 2^k - 1 nonempty color sets is tried as A.
+    Color sets are bitmasks over the color indices.
+    """
+    k = len(rows)
+    support = [sum(1 << j for j, count in enumerate(row) if count) for row in rows]
+    near = [
+        sum(1 << b for b in range(k) if sum(abs(x - y) for x, y in zip(rows[a], rows[b])) <= 2)
+        for a in range(k)
+    ]
+
+    def connected(colors: int) -> bool:
+        reached = colors & -colors
+        while True:
+            grown = reached
+            for a in range(k):
+                if reached >> a & 1:
+                    grown |= near[a] & colors
+            if grown == reached:
+                return reached == colors
+            reached = grown
+
+    everything = (1 << k) - 1
+    for even in range(1, everything + 1):
+        odd = 0
+        for c in range(k):
+            if even >> c & 1:
+                odd |= support[c]
+        if (
+            even | odd == everything
+            and not any(odd >> c & 1 and support[c] & ~even for c in range(k))
+            and connected(even)
+            and connected(odd)
+        ):
+            return True
+    return False
+
+
 def finite_route_report(n, k):
     """The completeness report by the finite route, with no period rule.
 

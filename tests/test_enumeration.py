@@ -39,6 +39,7 @@ from conftest import (
     consistent_windows,
     is_prenecklace,
     scan_perfect_finite,
+    subset_parity_split,
     surjective_word_count,
     table_periodic_search,
 )
@@ -300,6 +301,40 @@ class TestCandidateMatrices:
                 if all((m.rows[i][j] > 0) == (m.rows[j][i] > 0) for i in range(k) for j in range(k))
             }
             assert set(_support_symmetric(n, k)) == raw, (n, k)
+
+    def test_parity_split_matches_subset_oracle(self):
+        # every connected support, balanced or not, against all 2^k - 1 splits
+        sizes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 4)]
+        checked = accepted = 0
+        for n, k in sizes + [(1, 4), (1, 5), (1, 6)]:
+            for rows in _support_symmetric(n, k):
+                reached = [0]
+                for i in reached:
+                    reached += [j for j, count in enumerate(rows[i]) if count and j not in reached]
+                if len(reached) == k:
+                    verdict = _has_parity_split(rows)
+                    assert verdict == subset_parity_split(rows), rows
+                    checked += 1
+                    accepted += verdict
+        assert (checked, accepted) == (7679, 2579)
+
+    @pytest.mark.parametrize(
+        "rows, accepted",
+        [
+            # A = B = all colors: color 2 has a loop, rows a chain of unit transfers
+            (((0, 0, 2), (0, 1, 1), (1, 1, 0)), True),
+            # only the bipartition {1, 2} | {3}: row 3 is L1 4 from rows 1 and 2
+            (((0, 0, 2), (0, 0, 2), (1, 1, 0)), True),
+            # loops rule out a bipartition, and the two rows are L1 4 apart
+            (((3, 1), (1, 3)), False),
+            # bipartition {1, 2} | {3, 4}, and rows 1 and 2 are L1 4 apart
+            (((0, 0, 0, 4), (0, 0, 2, 2), (0, 4, 0, 0), (1, 3, 0, 0)), False),
+        ],
+        ids=["all-colors", "bipartition", "not-bipartite", "side-not-connected"],
+    )
+    def test_parity_split_branches(self, rows, accepted):
+        assert _is_balanced(rows)
+        assert _has_parity_split(rows) is subset_parity_split(rows) is accepted
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
