@@ -7,11 +7,14 @@ perfect partitions fall into symmetry classes whose members have one set of
 reduced images; each class is expanded through the k! labelings once, and a
 later partition whose image is already covered is skipped.  The
 partitions (restricted growth strings with exactly k classes) are searched
-depth first, coloring vertices 0..t-1 in turn, and two rules prune a prefix
-as soon as no completion can be perfect: a vertex whose closed neighborhood
-is fully colored must see exactly the row its color's first closed vertex
+depth first in a closing order, which next colors the uncolored rest of the
+closed neighborhood with fewest left, and two rules prune a prefix as soon
+as no completion can be perfect: a vertex whose closed neighborhood is
+fully colored must see exactly the row its color's first closed vertex
 fixed (closed rule), and a colored vertex may never see more of a color
-than its fixed row allows, since counts only grow (bound rule).
+than its fixed row allows, since counts only grow (bound rule).  Neither
+rule depends on the order, and growth strings along any fixed order list
+each partition once.
 check_perfect runs once per partition that survives to a leaf and is the
 verdict and the source of its matrix; a labeling's matrix is the class
 matrix conjugated by the recoloring (ParameterMatrix.relabeled), and
@@ -141,20 +144,25 @@ def canonical_form(
 def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: WorkMeter):
     """Depth-first search for the color-class partitions that can be perfect.
 
-    Yields restricted growth strings (colors 1..k in order of first use,
-    exactly k classes) in lexicographic order, coloring vertices 0..t-1 in
-    turn; colors are 0..k-1 inside the search.  counts[v] holds
-    how many colored neighbors of v carry each color, over the multiset
+    Vertices are colored in a closing order, built by repeating one step:
+    the closed neighborhood {v} | N(v) with the fewest uncolored vertices
+    (least v on ties) appends those vertices in increasing order, so
+    neighborhoods close early, not when they wrap round to the last vertex.
+    The search works on positions in that order (word[i], colors 0..k-1, is
+    the color at position i), and a restricted growth string along any
+    fixed order lists each partition exactly once.  counts[i] holds how many
+    colored neighbors position i has of each color, over the multiset
     neighbor_offsets(dset, t), so multiedges and loops count as often as
-    check_perfect counts them.  Coloring vertex i adds its color to the
-    counts of every vertex whose neighborhood holds i; then two rules prune:
+    check_perfect counts them.  Coloring position i adds its color to the
+    counts of every position whose neighborhood holds i; then two rules
+    prune, and neither depends on the order:
 
-    * Closed rule.  closing[i] lists the vertices v whose closed
-      neighborhood {v} | N(v) has i as its last member.  Once i is colored,
-      v's color and counts are final, and in a perfect coloring they are the
-      row of v's color.  The first such vertex of a color fixes that row;
-      every later one must equal it, or no completion is perfect.  The row
-      is unset again on backtrack.
+    * Closed rule.  closing[i] lists the positions whose closed
+      neighborhood has i as its last member.  Once i is colored, their
+      colors and counts are final, and in a perfect coloring they are their
+      colors' rows.  The first such vertex of a color fixes that row; every
+      later one must equal it, or no completion is perfect.  The row is
+      unset again on backtrack.
     * Bound rule.  Coloring more vertices only adds to counts, so a colored
       vertex whose color's row is fixed and whose partial count exceeds that
       row in some color has final counts that differ from the row in every
@@ -162,21 +170,25 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: W
       counts of a vertex when it is colored, and to every colored vertex of
       a color whose row has just been fixed.
 
-    Both rules only discard prefixes with no perfect completion.  At a leaf
-    every vertex has closed and matched its color's row, so every string
-    yielded is a perfect partition.  stats gains nodes_visited (vertices
-    colored), pruned_closed and pruned_bound (nodes each rule cut off).
-
-    The meter is spent one unit per vertex colored and k! per leaf, the
-    labelings of its partition, so the count also bounds the
-    colorings the caller keeps.
+    Both rules only discard prefixes with no perfect completion, so each
+    leaf, yielded as its word in vertex order over colors 1..k, is a
+    perfect partition.  stats gains nodes_visited (vertices colored),
+    pruned_closed and pruned_bound (nodes each rule cut off).  The meter is
+    spent one unit per vertex colored and k! per leaf, the labelings of its
+    partition, so the count also bounds the colorings the caller keeps.
     """
     offsets = neighbor_offsets(dset, t)
-    # seen_by[i]: the vertices whose neighborhood holds i, with multiplicity.
-    seen_by = [tuple((i - o) % t for o in offsets) for i in range(t)]
+    hoods = [{v, *((v + o) % t for o in offsets)} for v in range(t)]
+    order: list[int] = []  # order[i]: the vertex colored at position i
+    while len(order) < t:
+        rest = (sorted(h.difference(order)) for h in hoods)
+        order += min((r for r in rest if r), key=len)
+    at = [order.index(v) for v in range(t)]  # at[v]: the position of vertex v
+    # seen_by[i]: the positions whose neighborhood holds i, with multiplicity.
+    seen_by = [tuple(at[(v - o) % t] for o in offsets) for v in order]
     closing: list[list[int]] = [[] for _ in range(t)]
     for v in range(t):
-        closing[max(v, *((v + o) % t for o in offsets))].append(v)
+        closing[max(at[u] for u in hoods[v])].append(at[v])
     word = [0] * t
     counts = [[0] * k for _ in range(t)]
     rows: list[list[int] | None] = [None] * k
@@ -185,7 +197,7 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: W
     spend = meter.spend
 
     def fits(i: int, color: int, fixed_here: list[int]) -> bool:
-        """Whether both rules pass once vertex i has color; rows fixed go in fixed_here."""
+        """Whether both rules pass once position i has color; rows fixed go in fixed_here."""
         nonlocal pruned_closed, pruned_bound
         for v in closing[i]:
             row = rows[word[v]]
@@ -216,7 +228,7 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: W
         nonlocal nodes
         if i == t:
             spend(labelings)
-            yield tuple(c + 1 for c in word)
+            yield tuple(word[p] + 1 for p in at)
             return
         for color in range(min(used + 1, k)):
             now_used = used + (color == used)
@@ -236,9 +248,7 @@ def _perfect_partitions(t: int, dset: DistanceSet, k: int, stats: dict, meter: W
                 rows[fixed] = None
 
     yield from extend(0, 0)
-    stats["nodes_visited"] = nodes
-    stats["pruned_closed"] = pruned_closed
-    stats["pruned_bound"] = pruned_bound
+    stats.update(nodes_visited=nodes, pruned_closed=pruned_closed, pruned_bound=pruned_bound)
 
 
 def enumerate_perfect_finite(
@@ -254,8 +264,8 @@ def enumerate_perfect_finite(
     """All perfect k-colorings of Ci_t(D), optionally reduced modulo symmetry.
 
     The color-class partitions are searched depth first over restricted
-    growth strings, pruned by the closed and bound rules of
-    _perfect_partitions as neighborhoods close; each partition that survives
+    growth strings in _perfect_partitions' closing order, pruned by its
+    closed and bound rules as neighborhoods close; each partition that survives
     to a leaf is checked once with check_perfect, whose verdict decides it
     and whose matrix, relabeled, every coloring reported carries.
 
@@ -292,6 +302,8 @@ def enumerate_perfect_finite(
     """
     require_positive_int("t", t)
     require_positive_int("k", k)
+    if not isinstance(dset, DistanceSet):
+        raise ValueError(f"dset must be a DistanceSet, got {dset!r}")
     meter = WorkMeter(
         budget, f"finite search for t={t}, k={k}", "vertices colored plus k! per perfect partition"
     )
@@ -309,7 +321,7 @@ def enumerate_perfect_finite(
     stats = {"classes_examined": 0, "perfect_classes": 0}
     for base in _perfect_partitions(t, dset, k, stats, meter):
         stats["classes_examined"] += 1
-        verdict = check_perfect(FiniteColoring(base, k), dset)
+        verdict = check_perfect(_built_coloring(FiniteColoring, base, k), dset)
         if not verdict.is_perfect:
             continue
         stats["perfect_classes"] += 1
@@ -321,15 +333,12 @@ def enumerate_perfect_finite(
             images.setdefault(least_image(tuple(target[c - 1] for c in base)), target)
         if color_permutation:
             covered.update(images)
-            least = min(images)
-            images = {least: images[least]}
+            images = dict([min(images.items())])  # the class's least image
         for image, target in images.items():
             found[image] = verdict.matrix.relabeled(target)
-    entries = tuple(
-        (FiniteColoring(word, k), found[word]) for word in sorted(found)
-    )
-    stats["colorings"] = len(entries)
-    stats["units"] = meter.spent
+    # every word labels a k-class partition or is a position image of one
+    entries = tuple((_built_coloring(FiniteColoring, w, k), found[w]) for w in sorted(found))
+    stats.update(colorings=len(entries), units=meter.spent)
     return EnumerationResult(entries, stats)
 
 
@@ -767,6 +776,5 @@ def enumerate_periodic_perfect(n: int, k: int, budget: int | None = None) -> Enu
             meter.spend(len(tail))
 
     entries = tuple(found[w] for w in sorted(found))
-    stats["colorings"] = len(entries)
-    stats["units"] = meter.spent
+    stats.update(colorings=len(entries), units=meter.spent)
     return EnumerationResult(entries, stats)

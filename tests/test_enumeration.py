@@ -138,6 +138,14 @@ class TestEnumeratePerfectFinite:
             stats = result.stats
             assert stats["classes_examined"] == stats["perfect_classes"], (t, k)
 
+    @pytest.mark.parametrize("dists", FINITE_DISTANCES)
+    def test_order_14_matches_partition_scan(self, dists):
+        # _finite_cases stops at t = 12; the search against the unpruned scan
+        # at one larger order, for every distance set
+        dset = DistanceSet(dists)
+        result = enumerate_perfect_finite(14, dset, 2)
+        assert result.entries == scan_perfect_finite(14, dset, 2).entries
+
     def test_random_cases_all_flags(self):
         rng = random.Random(20261018)
         cases = _finite_cases()
@@ -176,12 +184,12 @@ class TestEnumeratePerfectFinite:
         assert result.stats["perfect_classes"] == 12
         assert len(calls) == 12 + 2 * 5040
         assert result.stats["colorings"] == len(result.entries) == 7560
-        assert result.stats["units"] == 60_559
+        assert result.stats["units"] == 60_551
         monkeypatch.undo()
         flags = dict(rotation=True, reflection=True, color_permutation=True)
         result = enumerate_perfect_finite(12, make_odd_distance_set(3), 4, **flags)
         assert len(result.entries) == 594
-        assert result.stats["units"] == 562_169
+        assert result.stats["units"] == 398_375
 
     def test_pruning_stats(self):
         result = enumerate_perfect_finite(14, make_odd_distance_set(3), 3)
@@ -191,12 +199,12 @@ class TestEnumeratePerfectFinite:
             "nodes_visited", "pruned_closed", "pruned_bound", "units",
         }
         # the units spent are the least budget the search passes
-        assert stats["units"] == 100_732
+        assert stats["units"] == 33_991
         # the scan checked all 788,970 partitions; the search reaches only
         # the 497 perfect ones, and both rules cut
         assert stats["classes_examined"] == stats["perfect_classes"] == 497
         assert stats["colorings"] == len(result.entries) == 2982
-        assert stats["nodes_visited"] < 400_000
+        assert stats["nodes_visited"] < 40_000
         assert stats["pruned_closed"] > 0 and stats["pruned_bound"] > 0
         assert enumerate_perfect_finite(8, D2, 2).stats["classes_examined"] > 0
 
@@ -229,12 +237,12 @@ class TestEnumeratePerfectFinite:
 
     def test_budget_guard(self):
         # the budget counts vertices colored plus k! per perfect partition,
-        # 97,750 + 3! * 497 at (14, D_3, 3): the search passes at that count
+        # 31,009 + 3! * 497 at (14, D_3, 3): the search passes at that count
         # and stops one below it
         dset = make_odd_distance_set(3)
-        assert len(enumerate_perfect_finite(14, dset, 3, budget=100_732).entries) == 2982
-        with pytest.raises(BudgetExceededError, match="spent 100732 units"):
-            enumerate_perfect_finite(14, dset, 3, budget=100_731)
+        assert len(enumerate_perfect_finite(14, dset, 3, budget=33_991).entries) == 2982
+        with pytest.raises(BudgetExceededError, match="spent 33991 units"):
+            enumerate_perfect_finite(14, dset, 3, budget=33_990)
         # 2**30 - 2 onto words, but 376 nodes + 2! * 4 perfect partitions
         assert len(enumerate_perfect_finite(30, D1, 2).entries) == 8
         with pytest.raises(BudgetExceededError):
@@ -242,8 +250,14 @@ class TestEnumeratePerfectFinite:
         for budget in BAD_BUDGETS:
             with pytest.raises(ValueError):
                 enumerate_perfect_finite(4, D1, 2, budget=budget)
-        for t, dset, k in ((0, D1, 1), (3, D1, 0), (6.0, D2, 2), (True, D1, 1), (4, D1, True)):
-            with pytest.raises(ValueError):
+        # each error names its argument; a distance set must be a DistanceSet,
+        # or (0,) would give 62 "perfect" colorings of Ci_6
+        for t, dset, k, name in (
+            (0, D1, 1, "t"), (3, D1, 0, "k"), (6.0, D2, 2, "t"), (True, D1, 1, "t"),
+            (4, D1, True, "k"), (6, (0,), 2, "dset"), (6, (1, 1), 2, "dset"),
+            (6, (3, 1), 2, "dset"), (6, (-1,), 2, "dset"), (6, [1, 3], 2, "dset"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must"):
                 enumerate_perfect_finite(t, dset, k)
 
     def test_deterministic_order(self):
