@@ -20,12 +20,11 @@ from .core import (
     PeriodicColoring,
     coloring_from_json,
     coloring_to_json,
-    least_rotation,
     make_odd_distance_set,
 )
 from .perfection import check_perfect, is_bipartite_coloring
 from .constructors import all_4n_colorings, all_matched_colorings, path_colorings
-from .enumeration import _images, enumerate_perfect_finite, enumerate_periodic_perfect
+from .enumeration import enumerate_perfect_finite, enumerate_periodic_perfect
 from .verification import _pull_back, check_conjecture, check_theorem_k2
 
 # Fixed fill palette for DOT output; colorings with more than 12 colors cycle.
@@ -140,30 +139,6 @@ def _cmd_verify(args) -> int:
     return 0 if verdict.is_perfect else 1
 
 
-def _class_representatives(entries, reflection: bool, colors: bool) -> list[PeriodicColoring]:
-    """The coloring of each class's canonical form, in one sweep of the entries.
-
-    Period words are rotation classes already; only the extra symmetries
-    fold.  The entries are sorted, each word is the least rotation of a
-    primitive period, and the search is exhaustive, so every class's words
-    are all among them and the first one met is the least, its
-    canonical_form.  That entry is kept and the least rotations of its
-    images mark the class's other words, which are skipped and unmarked
-    when met, so the marks hold only words still ahead and are freed on
-    return, before any output is built.
-    """
-    marked: set[tuple[int, ...]] = set()
-    kept = []
-    for coloring, _ in entries:
-        if coloring.word in marked:
-            marked.discard(coloring.word)
-            continue
-        kept.append(coloring)
-        marked.update(map(least_rotation, _images(coloring.word, reflection, colors)))
-        marked.discard(coloring.word)
-    return kept
-
-
 def _cmd_enumerate(args) -> int:
     started = time.perf_counter()
     mode = "enumerate --infinite" if args.infinite else "finite enumeration"
@@ -174,12 +149,11 @@ def _cmd_enumerate(args) -> int:
         if args.n is None:
             raise UsageError("--infinite enumeration needs --n")
         dset = make_odd_distance_set(args.n)
-        result = enumerate_periodic_perfect(args.n, args.k, budget=args.budget)
         _, reflection, colors = _parse_symmetry(args.symmetry, "rotation,colors")
-        entries = [
-            (c, check_perfect(c, dset).matrix)
-            for c in _class_representatives(result.entries, reflection, colors)
-        ]
+        result = enumerate_periodic_perfect(
+            args.n, args.k, budget=args.budget, reflection=reflection, color_permutation=colors
+        )
+        entries = [(c, check_perfect(c, dset).matrix) for c, _ in result.entries]
     else:
         if args.t is None or args.distances is None:
             raise UsageError("finite enumeration needs --t and --distances")

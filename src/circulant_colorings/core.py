@@ -60,6 +60,12 @@ def require_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def require_distance_set(dset) -> None:
+    """Raise ValueError unless dset is a DistanceSet, so its own checks have run."""
+    if not isinstance(dset, DistanceSet):
+        raise ValueError(f"dset must be a DistanceSet, got {dset!r}")
+
+
 class WorkMeter:
     """One search's count of the work it has done, against its budget.
 

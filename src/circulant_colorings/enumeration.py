@@ -63,14 +63,14 @@ Two rules keep the walks to the cycles Ci_{4n} = K_{2n,2n} does not
 already give: a start whose middle colors form a K pair is recorded at the
 generator's leaf without a walk, and a start prefix whose taps force no
 color is cut while it is built.  _prenecklace_windows argues both.  Each
-cycle's recolorings are canonical words already (a primitive period,
-least-rotated), so each coloring is built once, without re-validation.
+cycle comes out least-rotated (_cycles), so its recolorings' least
+rotations are canonical words, each built once without re-validation.
 
 Only the matrices of candidate_matrices are searched: its balance, parity
 and color-symmetry rules, each argued in its docstring, keep every matrix
 an onto perfect coloring can have.  The window search runs once per S_k
 conjugacy orbit, and each onto cycle it finds is expanded through the k!
-recolorings (enumerate_periodic_perfect).
+recolorings once and folded there (enumerate_periodic_perfect).
 """
 
 from dataclasses import dataclass, field
@@ -89,6 +89,7 @@ from .core import (
     least_rotation,
     neighbor_offsets,
     primitive_period,
+    require_distance_set,
     require_positive_int,
 )
 from .perfection import check_perfect
@@ -302,8 +303,7 @@ def enumerate_perfect_finite(
     """
     require_positive_int("t", t)
     require_positive_int("k", k)
-    if not isinstance(dset, DistanceSet):
-        raise ValueError(f"dset must be a DistanceSet, got {dset!r}")
+    require_distance_set(dset)
     meter = WorkMeter(
         budget, f"finite search for t={t}, k={k}", "vertices colored plus k! per perfect partition"
     )
@@ -685,24 +685,68 @@ def _prenecklace_windows(automaton: Automaton, meter: WorkMeter, stats: dict):
     stats["pruned_dead_tap"] += pruned
 
 
-def enumerate_periodic_perfect(n: int, k: int, budget: int | None = None) -> EnumerationResult:
+def _cycles(automaton: Automaton, meter: WorkMeter, stats: dict):
+    """Each cycle of one matrix's step map once, as its least rotation over digits 0..k-1.
+
+    A K-pair necklace of _prenecklace_windows is its cycle, with a least
+    Lyndon prefix; another start is walked through automaton.table and, if
+    the walk returns, is its cycle's least window (module docstring).  For
+    the cycle's coloring c, c[0:4n] = start, of period p, c[i:] and c[j:]
+    for i, j apart mod p first differ within p digits and within 4n (equal
+    windows have equal successors), so rotations compare as windows do:
+    c[0:p] is least, and the forced tail c[4n:4n+p] is it rotated by 4n mod p.
+    """
+    n, k, step = automaton.n, automaton.k, automaton.table
+    top = k ** (4 * n - 1)  # weight of offset 0
+    weight_a = k ** (2 * n)  # offset 2n-1
+    weight_b = k ** (2 * n - 2)  # offset 2n+1
+    for start, period in _prenecklace_windows(automaton, meter, stats):
+        if period is not None:
+            stats["k_pair_cycles"] += 1
+            yield period
+            continue
+        window = start
+        tail: list[int] = []  # forced digits; once back at start, one period
+        while True:
+            taps = (window // weight_a % k * k + window // weight_b % k) * k + window // top
+            forced = step[taps]
+            if forced is None:
+                break
+            tail.append(forced)
+            window = window % top * k + forced
+            if window <= start:
+                if window == start:
+                    shift = -4 * n % len(tail)
+                    yield tuple(tail[shift:] + tail[:shift])
+                break
+        stats["states_followed"] += len(tail)
+        meter.spend(len(tail))
+
+
+def enumerate_periodic_perfect(
+    n: int, k: int, budget: int | None = None, *, reflection: bool = False,
+    color_permutation: bool = False,
+) -> EnumerationResult:
     """All perfect k-colorings of Ci(D_n), as canonical periodic colorings.
 
-    Per searched matrix, each start of _prenecklace_windows is walked
-    through the matrix's Automaton.table, or, for a K-pair necklace, taken
-    as its cycle without a walk, and each cycle is recorded from its least
-    window (see the module docstring).  A cycle's recolorings are least
-    rotations of a primitive period over all k colors, so a coloring is
-    built only for a word not found yet, and without re-validation.
+    Per searched matrix, _cycles yields each cycle as a least-rotated
+    primitive period.  An onto cycle's class, its k! recolorings with the
+    conjugated matrices, is recorded whole, so a cycle whose word is
+    recorded already costs no rotation.
 
-    Orbits.  The search runs once per S_k conjugacy orbit of
-    candidate_matrices.  The candidates are sorted by rows and closed under
-    conjugation, so the first member of an orbit the loop meets is the
-    orbit's least image; it is searched, and the rest of its orbit is
-    skipped.  Each onto cycle is reported under every recoloring, carrying
-    the conjugated matrix.  The entries do not depend on which member is
-    searched: a recoloring maps the cycles of a matrix onto the cycles of
-    its conjugate, so every member's cycles give the same recolored words.
+    Orbits.  candidate_matrices is sorted by rows and closed under
+    conjugation; the search runs on each S_k orbit's first member met, its
+    least image, and skips the rest.  Any member would do: a recoloring maps
+    a matrix's cycles onto its conjugate's, so all give the same words.
+
+    Symmetry flags as in enumerate_perfect_finite (words are rotation
+    classes already).  A group G, a class with color_permutation and a word
+    otherwise, gives the entry min(G), with reflection only if min(G) <=
+    min(least_rotation(w[::-1]) for w in G), so entries are canonical_form
+    words.  Soundness: reversal is an automorphism of Ci(D_n) commuting with
+    recoloring and rotation, so rev(G) is a group the exhaustive search also
+    records.  Groups partition the words: G and rev(G) are equal, or
+    disjoint with unequal minima and only the one with the least is kept.
 
     stats:
       matrices_tried -- orbit representatives searched;
@@ -710,7 +754,7 @@ def enumerate_periodic_perfect(n: int, k: int, budget: int | None = None) -> Enu
       cycles_found -- cycles recorded, onto or not;
       k_pair_cycles -- of those, the ones recorded at the generator's leaf;
       pruned_dead_tap -- start prefixes cut on a dead tap;
-      colorings -- entries returned;
+      colorings -- entries returned, the only stat the flags change;
       units -- the budget units spent.
 
     The budget's unit is one window digit placed while generating the
@@ -724,27 +768,11 @@ def enumerate_periodic_perfect(n: int, k: int, budget: int | None = None) -> Enu
     )
     recolorings = tuple(permutations(range(1, k + 1)))
     found: dict[tuple[int, ...], Entry] = {}
-    stats = {
-        "matrices_tried": 0,
-        "states_followed": 0,
-        "cycles_found": 0,
-        "k_pair_cycles": 0,
-        "pruned_dead_tap": 0,
-    }
-
-    def record(period, targets):
-        # period is one primitive period of a cycle, digits 0..k-1, so each
-        # recoloring's least rotation is its canonical word
-        stats["cycles_found"] += 1
-        if len(set(period)) == k:
-            for p, target in targets:
-                word = least_rotation(tuple(map(p.__getitem__, period)))
-                if word not in found:
-                    found[word] = (_built_coloring(PeriodicColoring, word, k), target)
-
-    top = k ** (4 * n - 1)  # weight of offset 0
-    weight_a = k ** (2 * n)  # offset 2n-1
-    weight_b = k ** (2 * n - 2)  # offset 2n+1
+    # The words of the classes recorded so far; found holds them all unless a flag folds.
+    covered = set() if reflection or color_permutation else found
+    stats = dict.fromkeys(
+        ("matrices_tried", "states_followed", "cycles_found", "k_pair_cycles", "pruned_dead_tap"), 0
+    )
     searched: set[tuple[tuple[int, ...], ...]] = set()
     for matrix in candidate_matrices(n, k, budget):
         if matrix.rows in searched:
@@ -752,28 +780,18 @@ def enumerate_periodic_perfect(n: int, k: int, budget: int | None = None) -> Enu
         targets = [(p, matrix.relabeled(p)) for p in recolorings]
         searched.update(image.rows for _, image in targets)
         stats["matrices_tried"] += 1
-        automaton = Automaton(n, k, matrix)
-        step = automaton.table
-        for start, period in _prenecklace_windows(automaton, meter, stats):
-            if period is not None:
-                stats["k_pair_cycles"] += 1
-                record(period, targets)
+        for least in _cycles(Automaton(n, k, matrix), meter, stats):
+            stats["cycles_found"] += 1
+            if len(set(least)) < k or tuple(d + 1 for d in least) in covered:
                 continue
-            window = start
-            tail: list[int] = []  # forced digits; once back at start, one period
-            while True:
-                taps = (window // weight_a % k * k + window // weight_b % k) * k + window // top
-                forced = step[taps]
-                if forced is None:
-                    break
-                tail.append(forced)
-                window = window % top * k + forced
-                if window <= start:
-                    if window == start:
-                        record(tail, targets)
-                    break
-            stats["states_followed"] += len(tail)
-            meter.spend(len(tail))
+            # least is primitive, so each recoloring's least rotation is canonical
+            images = {least_rotation(tuple(map(p.__getitem__, least))): m for p, m in targets}
+            if covered is not found:
+                covered.update(images)
+            for group in [images] if color_permutation else [[w] for w in images]:
+                first = min(group)
+                if not reflection or first <= min(least_rotation(w[::-1]) for w in group):
+                    found[first] = (_built_coloring(PeriodicColoring, first, k), images[first])
 
     entries = tuple(found[w] for w in sorted(found))
     stats.update(colorings=len(entries), units=meter.spent)

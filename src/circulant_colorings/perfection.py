@@ -20,6 +20,7 @@ from .core import (
     PeriodicColoring,
     make_odd_distance_set,
     neighbor_color_counts,
+    require_distance_set,
     require_positive_int,
 )
 
@@ -62,6 +63,7 @@ def check_perfect(coloring: Coloring, dset: DistanceSet) -> PerfectionVerdict:
     For a periodic coloring the vertices 0..p-1 cover every translation class,
     so checking one period decides the whole of Z.
     """
+    require_distance_set(dset)
     rows: dict[int, ColorCounts] = {}
     first_seen: dict[int, int] = {}
     for v in range(len(coloring.word)):

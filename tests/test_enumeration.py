@@ -25,6 +25,7 @@ from circulant_colorings import (
 from circulant_colorings import enumeration
 from circulant_colorings.core import WorkMeter, least_rotation, primitive_period
 from circulant_colorings.enumeration import (
+    _cycles,
     _has_parity_split,
     _is_balanced,
     _prenecklace_windows,
@@ -648,6 +649,45 @@ class TestEnumeratePeriodicPerfect:
         )
         for size, result in expected.items():
             assert enumerate_periodic_perfect(*size).entries == result.entries, size
+
+    @pytest.mark.parametrize(
+        "n, k", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5)]
+    )
+    def test_symmetry_flags_match_canonical_form_fold(self, n, k, periodic_k2):
+        # the fold inside the search against canonical_form over every
+        # unflagged entry; the flags change nothing but the entries kept
+        plain = periodic_k2[n] if k == 2 and n < 5 else enumerate_periodic_perfect(n, k)
+        matrix_of = {c.word: m for c, m in plain.entries}
+        for reflection, colors in itertools.product((False, True), repeat=2):
+            flags = dict(reflection=reflection, color_permutation=colors)
+            result = enumerate_periodic_perfect(n, k, **flags)
+            kept = sorted({canonical_form(w, **flags) for w in matrix_of})
+            assert [(c.word, m) for c, m in result.entries] == [(w, matrix_of[w]) for w in kept]
+            assert all(c.k == k for c, _ in result.entries)
+            assert result.stats["colorings"] == len(result.entries)
+            # units, states_followed, cycles_found, k_pair_cycles,
+            # pruned_dead_tap and matrices_tried do not depend on the flags
+            assert {**result.stats, "colorings": 0} == {**plain.stats, "colorings": 0}
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (1, 4)])
+    def test_cycles_come_out_least_rotated(self, n, k):
+        # the search takes each cycle's least rotation from where it was
+        # found (Lyndon prefix or rotated tail) and never calls
+        # least_rotation on it, so a wrong word would only cost time
+        stats = {"k_pair_cycles": 0, "states_followed": 0, "pruned_dead_tap": 0}
+        yielded = 0
+        for matrix in candidate_matrices(n, k):
+            automaton = Automaton(n, k, matrix)
+            for least in _cycles(automaton, WorkMeter(None, "test", "units"), stats):
+                yielded += 1
+                assert least == least_rotation(least) == primitive_period(least), (matrix, least)
+                # the word's periodic extension is a cycle of this matrix's step map
+                length = 4 * n
+                word = tuple(d + 1 for d in least) * (length // len(least) + 2)
+                for i in range(len(least)):
+                    window = word[i : i + length]
+                    assert step_window(automaton, window) == word[i + length], (matrix, least)
+        assert yielded >= stats["k_pair_cycles"] > 0
 
     def test_deterministic(self):
         a = enumerate_periodic_perfect(2, 2)

@@ -72,6 +72,13 @@ class TestCheckPerfect:
         assert check_perfect(PeriodicColoring((1, 2), 2), D2)
         assert not check_perfect(PeriodicColoring((1, 2, 2, 2), 2), D2)
 
+    @pytest.mark.parametrize("dset", [(0,), (1, 1), [1, 3]])
+    def test_rejects_a_distance_set_that_is_not_a_distance_set(self, dset):
+        # (0,) used to give a bogus "perfect" with matrix ((2, 0), (0, 2))
+        for coloring in (FiniteColoring((1, 2, 1, 2, 1, 2), 2), PeriodicColoring((1, 2), 2)):
+            with pytest.raises(ValueError, match="dset must be a DistanceSet"):
+                check_perfect(coloring, dset)
+
 
 class TestVerdictType:
     def test_requires_matrix_xor_witness(self):

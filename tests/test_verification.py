@@ -43,6 +43,11 @@ class TestInduce:
         with pytest.raises(ValueError):
             induce(FiniteColoring((1, 1, 1, 2, 2, 2), 2), D2)
 
+    @pytest.mark.parametrize("dset", [(0,), (1, 1), [1, 3]])
+    def test_rejects_a_distance_set_that_is_not_a_distance_set(self, dset):
+        with pytest.raises(ValueError, match="dset must be a DistanceSet"):
+            induce(FiniteColoring((1, 2, 1, 2, 1, 2), 2), dset)
+
     def test_every_perfect_finite_coloring_induces(self):
         for t in (2, 4, 6):
             for finite, matrix in enumerate_perfect_finite(t, D1, 2).entries:
