@@ -18,7 +18,6 @@ from .core import (
     coloring_to_json,
     least_rotation,
     make_odd_distance_set,
-    neighbor_color_counts,
     neighbor_offsets,
     primitive_period,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "coloring_to_json",
     "least_rotation",
     "make_odd_distance_set",
-    "neighbor_color_counts",
     "neighbor_offsets",
     "primitive_period",
     "PerfectionVerdict",

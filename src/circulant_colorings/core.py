@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 Color = int
-# Incidence counts per color; index = color - 1.
-ColorCounts = tuple[int, ...]
 
 
 # The one work budget every search takes, counted through a WorkMeter.
@@ -201,25 +199,6 @@ class PeriodicColoring:
 
     def color_at(self, i: int) -> Color:
         return self.word[i % len(self.word)]
-
-
-def neighbor_color_counts(
-    coloring: FiniteColoring | PeriodicColoring, dset: DistanceSet, v: int
-) -> ColorCounts:
-    """How many neighbors of v carry each color, as a tuple indexed by color-1.
-
-    Works unchanged for both coloring kinds: reducing v +- d modulo the word
-    length is reduction mod t for a finite coloring and periodic lookup for a
-    periodic one.  A loop (offset 0 mod t) contributes both of its incidences,
-    so the counts always sum to 2|D|.
-    """
-    counts = [0] * coloring.k
-    word = coloring.word
-    length = len(word)
-    for d in dset:
-        counts[word[(v + d) % length] - 1] += 1
-        counts[word[(v - d) % length] - 1] += 1
-    return tuple(counts)
 
 
 @dataclass(frozen=True)

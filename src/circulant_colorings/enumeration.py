@@ -767,6 +767,7 @@ def enumerate_periodic_perfect(
         budget, f"periodic search for n={n}, k={k}", "window digits placed plus steps walked"
     )
     recolorings = tuple(permutations(range(1, k + 1)))
+    identity = recolorings[0].__getitem__  # its image of a least rotation is least
     found: dict[tuple[int, ...], Entry] = {}
     # The words of the classes recorded so far; found holds them all unless a flag folds.
     covered = set() if reflection or color_permutation else found
@@ -782,10 +783,11 @@ def enumerate_periodic_perfect(
         stats["matrices_tried"] += 1
         for least in _cycles(Automaton(n, k, matrix), meter, stats):
             stats["cycles_found"] += 1
-            if len(set(least)) < k or tuple(d + 1 for d in least) in covered:
+            if len(set(least)) < k or (word := tuple(map(identity, least))) in covered:
                 continue
             # least is primitive, so each recoloring's least rotation is canonical
-            images = {least_rotation(tuple(map(p.__getitem__, least))): m for p, m in targets}
+            images = {word: targets[0][1]}
+            images |= {least_rotation(tuple(map(p.__getitem__, least))): m for p, m in targets[1:]}
             if covered is not found:
                 covered.update(images)
             for group in [images] if color_permutation else [[w] for w in images]:

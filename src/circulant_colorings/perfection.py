@@ -8,18 +8,29 @@ color a color-1 (resp. color-2) vertex sees.  Only four values of b + c can
 occur, namely 4n, 2n, 2n+1 and 2n-1, and each value forces a matrix shape,
 local color patterns, and a period length.  Those conditions are exposed here
 as predicates so the enumeration results can be audited against them.
+
+check_perfect counts every vertex's neighbors at once, in a cyclic
+convolution done as one integer product (Kronecker substitution).  With L
+the word length, w the bytes that hold 2|D| and s = 8kw, vertex v owns the
+s-bit slot v of X, holding 1 in byte w(c-1) for its color c, and
+Y = sum over d in D of 2^(s(d mod L)) + 2^(s(-d mod L)).
+  * No carry leaves a w-byte color field: before and after the fold, a field
+    of slot j counts each of the 2|D| offsets at most once, and 2|D| < 256^w.
+  * One fold is enough: X, Y < 2^(sL), so X*Y < 2^(2sL), and adding the
+    high half (above bit sL) to the low half reduces slot indices mod L.
+  * The convolution is the neighbor sum: slot j holds the colors at j - o
+    over the offsets o = +-d mod L, a multiset closed under negation, so
+    they are j's neighbors' colors, loops and multiedges included.
 """
 
 from dataclasses import dataclass
 
 from .core import (
-    ColorCounts,
     DistanceSet,
     FiniteColoring,
     ParameterMatrix,
     PeriodicColoring,
     make_odd_distance_set,
-    neighbor_color_counts,
     require_distance_set,
     require_positive_int,
 )
@@ -61,22 +72,29 @@ def check_perfect(coloring: Coloring, dset: DistanceSet) -> PerfectionVerdict:
     """Decide perfection of a coloring on Ci_t(D) or Ci(D).
 
     For a periodic coloring the vertices 0..p-1 cover every translation class,
-    so checking one period decides the whole of Z.
+    so checking one period decides the whole of Z.  All counts come from one
+    folded product (module docstring); an imperfect coloring's witness is its
+    color's first vertex and the first vertex whose counts differ from it.
     """
     require_distance_set(dset)
-    rows: dict[int, ColorCounts] = {}
-    first_seen: dict[int, int] = {}
-    for v in range(len(coloring.word)):
-        color = coloring.word[v]
-        counts = neighbor_color_counts(coloring, dset, v)
-        if color in rows:
-            if counts != rows[color]:
-                return PerfectionVerdict(False, witness=(first_seen[color], v))
-        else:
-            rows[color] = counts
-            first_seen[color] = v
-    matrix = ParameterMatrix(tuple(rows[c] for c in range(1, coloring.k + 1)))
-    return PerfectionVerdict(True, matrix=matrix)
+    word, k, length = coloring.word, coloring.k, len(coloring.word)
+    width = ((2 * len(dset)).bit_length() + 7) // 8
+    slot, bits = k * width, 8 * k * width
+    one_hot = {c: (1 << 8 * width * (c - 1)).to_bytes(slot, "little") for c in range(1, k + 1)}
+    x = int.from_bytes(b"".join(map(one_hot.__getitem__, word)), "little")
+    product = x * sum((1 << bits * (d % length)) + (1 << bits * (-d % length)) for d in dset)
+    counts = (product & ((1 << bits * length) - 1)) + (product >> bits * length)
+    got = counts.to_bytes(slot * length, "little")
+    first_seen = {c: word.index(c) for c in range(1, k + 1)}
+    rows = {c: got[v * slot : (v + 1) * slot] for c, v in first_seen.items()}
+    expected = b"".join(map(rows.__getitem__, word))
+    if got != expected:
+        diff = counts ^ int.from_bytes(expected, "little")
+        v = ((diff & -diff).bit_length() - 1) // bits
+        return PerfectionVerdict(False, witness=(first_seen[word[v]], v))
+    fields = range(0, slot, width)
+    matrix = [[int.from_bytes(r[i : i + width], "little") for i in fields] for r in rows.values()]
+    return PerfectionVerdict(True, matrix=ParameterMatrix(matrix))
 
 
 def _parity_color_sets(coloring: Coloring) -> tuple[set[int], set[int]]:

@@ -42,6 +42,39 @@ def edge_multiset_adjacency(t, distances):
     return {v: sorted(us) for v, us in adj.items()}
 
 
+def neighbor_color_counts(coloring, dset, v):
+    """How many neighbors of v carry each color, as a tuple indexed by color-1.
+
+    Works unchanged for both coloring kinds: reducing v +- d modulo the word
+    length is reduction mod t for a finite coloring and periodic lookup for a
+    periodic one.  A loop (offset 0 mod t) contributes both of its incidences,
+    so the counts always sum to 2|D|.
+    """
+    counts = [0] * coloring.k
+    word = coloring.word
+    length = len(word)
+    for d in dset:
+        counts[word[(v + d) % length] - 1] += 1
+        counts[word[(v - d) % length] - 1] += 1
+    return tuple(counts)
+
+
+def per_vertex_perfection(coloring, dset):
+    """(is_perfect, witness, matrix rows) from one neighbor_color_counts per vertex.
+
+    The witness is (first vertex of the color, first vertex whose counts
+    differ from it); the rows are indexed by color-1.
+    """
+    rows, first_seen = {}, {}
+    for v, color in enumerate(coloring.word):
+        counts = neighbor_color_counts(coloring, dset, v)
+        if color not in rows:
+            rows[color], first_seen[color] = counts, v
+        elif counts != rows[color]:
+            return False, (first_seen[color], v), None
+    return True, None, tuple(rows[c] for c in range(1, coloring.k + 1))
+
+
 def oracle_counts(word, adj, k, v):
     counts = [0] * k
     for u in adj[v]:

@@ -171,7 +171,7 @@ class TestEnumerate:
         "symmetry", ["none", "rotation", "rotation,colors", "reflection", "rotation,reflection,colors"]
     )
     def test_infinite_prints_each_canonical_form_once(self, tmp_path, n, k, symmetry):
-        # the one-sweep fold against canonical_form on every search entry
+        # the fold inside the periodic search against canonical_form on every unflagged entry
         code, text = run(
             tmp_path, "enumerate", "--infinite", "--n", str(n), "--k", str(k),
             "--symmetry", symmetry,

@@ -22,11 +22,10 @@ from circulant_colorings import (
     enumerate_periodic_perfect,
     least_rotation,
     make_odd_distance_set,
-    neighbor_color_counts,
     neighbor_offsets,
     primitive_period,
 )
-from conftest import edge_multiset_adjacency, oracle_counts
+from conftest import edge_multiset_adjacency, neighbor_color_counts, oracle_counts
 
 
 class TestDistanceSet:

@@ -1,5 +1,8 @@
 """Perfection checking and the structure of perfect 2-colorings."""
 
+import itertools
+import random
+
 import pytest
 
 from circulant_colorings import (
@@ -15,9 +18,9 @@ from circulant_colorings import (
     check_period_length_claim,
     is_bipartite_coloring,
     make_odd_distance_set,
-    neighbor_color_counts,
     outer_degrees,
 )
+from conftest import neighbor_color_counts, per_vertex_perfection
 
 D2 = DistanceSet((1, 3))
 
@@ -78,6 +81,30 @@ class TestCheckPerfect:
         for coloring in (FiniteColoring((1, 2, 1, 2, 1, 2), 2), PeriodicColoring((1, 2), 2)):
             with pytest.raises(ValueError, match="dset must be a DistanceSet"):
                 check_perfect(coloring, dset)
+
+    def test_matches_the_per_vertex_oracle(self):
+        # (1, 2, 4) has loops (d = 0 mod t) at t = 1, 2, 4 and doubled edges
+        # (d = -d mod t) at t = 2, 4, 8; 128 distances give 2|D| = 256, so the
+        # kernel's color fields are two bytes wide.
+        wide = DistanceSet(tuple(sorted(random.Random(0).sample(range(1, 1000), 128))))
+        words = [
+            (word, k)
+            for k in (1, 2, 3)
+            for t in range(1, 9)
+            for word in itertools.product(range(1, k + 1), repeat=t)
+            if len(set(word)) == k
+        ]
+        cases = [(DistanceSet((1, 2, 4)), words), (make_odd_distance_set(3), words)]
+        # the wide set's oracle is 128 distances per vertex, so it gets k = 3 only to t = 5
+        cases.append((wide, [(word, k) for word, k in words if k < 3 or len(word) <= 5]))
+        for dset, some in cases:
+            finite = [FiniteColoring(word, k) for word, k in some]
+            periodic = {PeriodicColoring(word, k) for word, k in some}
+            for coloring in itertools.chain(finite, periodic):
+                verdict = check_perfect(coloring, dset)
+                rows = verdict.matrix.rows if verdict.is_perfect else None
+                got = (verdict.is_perfect, verdict.witness, rows)
+                assert got == per_vertex_perfection(coloring, dset), (coloring, dset)
 
 
 class TestVerdictType:
