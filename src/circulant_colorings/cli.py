@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"work units each search may spend (default {DEFAULT_BUDGET}): vertices colored "
-        "plus k! per perfect partition (finite), matrices generated, and window digits placed "
-        "plus steps walked (infinite); part words plus colorings built (construct --family "
+        "plus k! per perfect partition (finite), tree matrices generated, and window digits "
+        "placed plus steps walked (infinite); part words plus colorings built (construct --family "
         "balanced) and per-edge assignments (construct --family matched and two-color)",
     )
 

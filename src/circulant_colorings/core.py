@@ -223,29 +223,33 @@ class ParameterMatrix:
         return tuple(sum(row) for row in self.rows)
 
     def relabeled(self, new_color_of: tuple[int, ...]) -> "ParameterMatrix":
-        """Conjugate by the color bijection old -> new_color_of[old-1].
-
-        Entry (new_color_of[i], new_color_of[j]) of the result is entry
-        (i, j) here, so the result is read off through the inverse
-        permutation.  Conjugation keeps the matrix square with nonnegative
-        int entries, so the constructor's validation is not run again; a
-        new_color_of that is not a permutation of 1..k raises ValueError.
-        """
+        """The conjugate by old -> new_color_of[old-1], a permutation of 1..k (_conjugator)."""
         k = self.k
         if set(map(type, new_color_of)) != {int} or sorted(new_color_of) != list(range(1, k + 1)):
             raise ValueError(f"relabeling must be a permutation of 1..{k}: {new_color_of!r}")
-        if k == 1:  # the identity; itemgetter of one index returns no tuple
-            return self
-        old_of = [0] * k
-        for old, new in enumerate(new_color_of):
-            old_of[new - 1] = old
-        pick = itemgetter(*old_of)
-        conjugate = object.__new__(ParameterMatrix)
-        object.__setattr__(conjugate, "rows", tuple(map(pick, pick(self.rows))))
-        return conjugate
+        return _conjugator(new_color_of)(self.rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
+
+
+def _conjugator(new_color_of: tuple[int, ...]):
+    """The map from a matrix's rows to its conjugate by old -> new_color_of[old-1].
+
+    Entry (new_color_of[i], new_color_of[j]) of the image is entry (i, j).
+    Neither the image nor new_color_of, a permutation of 1..k, is validated.
+    """
+    old_of = [0] * len(new_color_of)
+    for old, new in enumerate(new_color_of):
+        old_of[new - 1] = old
+    pick = itemgetter(*old_of) if len(old_of) > 1 else None  # one index returns no tuple
+
+    def conjugate(rows: tuple[tuple[int, ...], ...]) -> ParameterMatrix:
+        matrix = object.__new__(ParameterMatrix)
+        object.__setattr__(matrix, "rows", tuple(map(pick, pick(rows))) if pick else rows)
+        return matrix
+
+    return conjugate
 
 
 def coloring_to_json(

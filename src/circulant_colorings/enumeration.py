@@ -23,9 +23,9 @@ representative keeps the matrix of the labeling it came from.
 
 Every search spends its budget through one core.WorkMeter, in its own
 unit: the finite search counts vertices colored plus k! per perfect
-partition, candidate_matrices the support-symmetric matrices it
-generates, and the periodic search the window digits it places while
-generating its starts plus the steps it walks.
+partition, candidate_matrices the tree matrices it generates, and the
+periodic search the window digits it places while generating its starts
+plus the steps it walks.
 
 The infinite graphs Ci(D_n) are handled by a forced-extension recurrence.
 In Ci(D_n) the neighborhood of v is {v-2n+1, v-2n+3, ..., v+2n-1}, so
@@ -66,11 +66,9 @@ color is cut while it is built.  _prenecklace_windows argues both.  Each
 cycle comes out least-rotated (_cycles), so its recolorings' least
 rotations are canonical words, each built once without re-validation.
 
-Only the matrices of candidate_matrices are searched: its balance, parity
-and color-symmetry rules, each argued in its docstring, keep every matrix
-an onto perfect coloring can have.  The window search runs once per S_k
-conjugacy orbit, and each onto cycle it finds is expanded through the k!
-recolorings once and folded there (enumerate_periodic_perfect).
+Only the matrices of candidate_matrices are searched, one per S_k conjugacy
+orbit, and its docstring argues that no onto coloring is lost; each onto
+cycle found is expanded through the k! recolorings once and folded there.
 """
 
 from dataclasses import dataclass, field
@@ -86,6 +84,7 @@ from .core import (
     PeriodicColoring,
     WorkMeter,
     _built_coloring,
+    _conjugator,
     least_rotation,
     neighbor_offsets,
     primitive_period,
@@ -351,34 +350,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _support_symmetric(n: int, k: int):
-    """Rows of every k x k matrix with row sums 2n and M_ij > 0 iff M_ji > 0.
-
-    Built row by row in lexicographic order.  Row i may have M_ij > 0 for
-    j < i exactly where the earlier row j has M_ji > 0, so the rows that fit
-    a prefix are looked up by that support pattern and no asymmetric prefix
-    grows.
-    """
-    compositions = tuple(_compositions(2 * n, k))
-    # fitting[i][mask]: rows whose support among the columns j < i is mask.
-    fitting: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(k)]
-    for row in compositions:
-        support = sum(1 << j for j, count in enumerate(row) if count)
-        for i in range(k):
-            fitting[i].setdefault(support & ((1 << i) - 1), []).append(row)
-
-    def extend(prefix: tuple[tuple[int, ...], ...]):
-        i = len(prefix)
-        if i == k:
-            yield prefix
-            return
-        required = sum(1 << j for j, row in enumerate(prefix) if row[i])
-        for row in fitting[i].get(required, ()):
-            yield from extend(prefix + (row,))
-
-    yield from extend(())
-
-
 def _is_balanced(rows: tuple[tuple[int, ...], ...]) -> bool:
     """Whether densities p > 0 exist with p_i M_ij = p_j M_ji on a connected support.
 
@@ -449,12 +420,11 @@ def _has_parity_split(rows: tuple[tuple[int, ...], ...]) -> bool:
 def candidate_matrices(
     n: int, k: int, budget: int | None = None
 ) -> tuple[ParameterMatrix, ...]:
-    """Parameter matrices worth searching for Ci(D_n) with k colors.
+    """Parameter matrices worth searching for Ci(D_n) with k colors, one per S_k orbit.
 
-    Every k x k nonnegative matrix with row sums 2n that passes three
-    necessary conditions for an onto perfect coloring, in lexicographic order
-    of rows.  Each rule removes only matrices that no onto coloring has (the
-    search discards colorings that miss a color anyway):
+    Each k x k nonnegative matrix with row sums 2n that passes three rules
+    is conjugate to one matrix returned, its orbit's least conjugate, sorted
+    by rows.  Each rule removes only matrices no onto coloring has:
 
     * Balance.  A perfect coloring is periodic; over one period of P
       vertices, with N_i vertices of color i, counting the i-j edges from
@@ -471,24 +441,56 @@ def candidate_matrices(
       (N(v+2) = N(v) - {v-2n+1} + {v+2n+1}), so A and B are each connected
       under that relation.  _has_parity_split tries the only two splits.
     * Color symmetry.  A recoloring of a perfect coloring is perfect with
-      the conjugated matrix, and both rules above are invariant under
-      conjugation, so the returned set is closed under it;
-      enumerate_periodic_perfect searches one matrix per orbit.
+      the conjugated matrix, and both rules are invariant under conjugation.
 
-    The budget's unit is one support-symmetric matrix generated, the work
-    the pruning rules do.
+    Rows are placed in turn under the support mask (M_ij > 0 for j < i
+    exactly where M_ji > 0) along a unit-transfer tree: row 0 is free, and
+    each later row is within one unit transfer (L1 <= 2, itself included) of
+    an earlier row, but for at most one fresh root.  Each orbit the rules
+    keep has such a member: order the colors of a kept matrix with split A, B
+    as A breadth-first under that relation, then B - A breadth-first from
+    A & B, or B from a fresh root when A & B is empty.  The first matrix of
+    an orbit to pass _is_balanced and _has_parity_split puts its k!
+    conjugates in a seen set and its least one in the result (isomorph
+    rejection after generation; McKay, J. Algorithms 26, 1998).  The
+    budget's unit is one tree matrix generated, the work the rules do.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
-    meter = WorkMeter(
-        budget, f"matrix generation for n={n}, k={k}", "support-symmetric matrices generated"
-    )
-    kept = []
-    for rows in _support_symmetric(n, k):
-        meter.spend()
-        if _is_balanced(rows) and _has_parity_split(rows):
-            kept.append(ParameterMatrix(rows))
-    return tuple(kept)
+    meter = WorkMeter(budget, f"matrix generation for n={n}, k={k}", "tree matrices generated")
+    compositions = tuple(_compositions(2 * n, k))
+    # near[row]: row and the rows one unit transfer from it
+    near = {row: {tuple(x - (c == j) + (c == i) for c, x in enumerate(row))
+                  for j in range(k) if row[j] for i in range(k)} for row in compositions}
+    # fitting[i][mask]: rows whose support among the columns j < i is mask.
+    fitting: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(k)]
+    for row in compositions:
+        support = sum(1 << j for j, count in enumerate(row) if count)
+        for i in range(k):
+            fitting[i].setdefault(support & ((1 << i) - 1), []).append(row)
+    conjugators = [_conjugator(p) for p in permutations(range(1, k + 1))]
+    seen, least = set(), []  # every conjugate of the orbits met; their least members
+
+    def extend(prefix: tuple[tuple[int, ...], ...], close: set, roots: int):
+        """Place row len(prefix); close holds the rows near the prefix's rows."""
+        i = len(prefix)
+        required = sum(1 << j for j, row in enumerate(prefix) if row[i])
+        for row in fitting[i].get(required, ()):
+            left = roots - (row not in close)
+            if left < 0:
+                continue
+            matrix = prefix + (row,)
+            if i < k - 1:
+                extend(matrix, close | near[row], left)
+                continue
+            meter.spend()
+            if _is_balanced(matrix) and matrix not in seen and _has_parity_split(matrix):
+                images = {conjugate(matrix).rows for conjugate in conjugators}
+                seen.update(images)
+                least.append(min(images))
+
+    extend((), set(), 2)  # row 0 and at most one fresh root
+    return tuple(ParameterMatrix(rows) for rows in sorted(least))
 
 
 @dataclass(frozen=True)
@@ -573,12 +575,13 @@ def _tap_table(rows: tuple[tuple[int, ...], ...]) -> list[int | None]:
     """The forced digit for each tap triple (a, b, o) = digits at offsets (2n-1, 2n+1, 0).
 
     Entry (a * k + b) * k + o is _forced_color(r_b, r_a - e_o) - 1, or None
-    for a dead end.  Entries with r_a[o] = 0 are never read: in a consistent
-    window c(0) is a neighbor of the vertex at 2n-1.
+    for a dead end.  Entries with r_a[o] = 0 are None, not computed: in a
+    consistent window c(0) is a neighbor of the vertex at 2n-1, so only a
+    start prefix whose completions all die earlier reads one (dead taps).
     """
     table = []
     for a, b, o in product(range(len(rows)), repeat=3):
-        forced = _forced_color(rows[b], _minus(rows[a], o))
+        forced = _forced_color(rows[b], _minus(rows[a], o)) if rows[a][o] else None
         table.append(None if forced is None else forced - 1)
     return table
 
@@ -734,10 +737,9 @@ def enumerate_periodic_perfect(
     conjugated matrices, is recorded whole, so a cycle whose word is
     recorded already costs no rotation.
 
-    Orbits.  candidate_matrices is sorted by rows and closed under
-    conjugation; the search runs on each S_k orbit's first member met, its
-    least image, and skips the rest.  Any member would do: a recoloring maps
-    a matrix's cycles onto its conjugate's, so all give the same words.
+    Orbits.  candidate_matrices gives one matrix per S_k conjugacy orbit.
+    Any member would do: a recoloring maps a matrix's cycles onto its
+    conjugate's, with the conjugated matrix, so all give the same entries.
 
     Symmetry flags as in enumerate_perfect_finite (words are rotation
     classes already).  A group G, a class with color_permutation and a word
@@ -759,27 +761,24 @@ def enumerate_periodic_perfect(
 
     The budget's unit is one window digit placed while generating the
     starts, plus each walk's steps, spent when the walk ends.
-    candidate_matrices counts the matrices it generates under the same budget.
+    candidate_matrices counts the tree matrices it generates under the same
+    budget.
     """
     require_positive_int("n", n)
     require_positive_int("k", k)
     meter = WorkMeter(
         budget, f"periodic search for n={n}, k={k}", "window digits placed plus steps walked"
     )
-    recolorings = tuple(permutations(range(1, k + 1)))
-    identity = recolorings[0].__getitem__  # its image of a least rotation is least
+    recolorings = [(p, _conjugator(p)) for p in permutations(range(1, k + 1))]
+    identity = recolorings[0][0].__getitem__  # its image of a least rotation is least
     found: dict[tuple[int, ...], Entry] = {}
     # The words of the classes recorded so far; found holds them all unless a flag folds.
     covered = set() if reflection or color_permutation else found
     stats = dict.fromkeys(
         ("matrices_tried", "states_followed", "cycles_found", "k_pair_cycles", "pruned_dead_tap"), 0
     )
-    searched: set[tuple[tuple[int, ...], ...]] = set()
     for matrix in candidate_matrices(n, k, budget):
-        if matrix.rows in searched:
-            continue
-        targets = [(p, matrix.relabeled(p)) for p in recolorings]
-        searched.update(image.rows for _, image in targets)
+        targets = [(p, conjugate(matrix.rows)) for p, conjugate in recolorings]
         stats["matrices_tried"] += 1
         for least in _cycles(Automaton(n, k, matrix), meter, stats):
             stats["cycles_found"] += 1

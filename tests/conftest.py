@@ -24,6 +24,7 @@ from circulant_colorings import (
     path_colorings,
     window_is_consistent,
 )
+from circulant_colorings.enumeration import _compositions, _has_parity_split, _is_balanced
 
 
 def surjective_word_count(t, k):
@@ -254,6 +255,65 @@ def table_periodic_search(n, k, matrices):
                         found.setdefault(coloring.word, (coloring, matrix))
             visited.update(path)
     return EnumerationResult(tuple(found[w] for w in sorted(found)))
+
+
+def support_symmetric_rows(n, k):
+    """Rows of every k x k matrix with row sums 2n and M_ij > 0 iff M_ji > 0.
+
+    Built row by row in lexicographic order.  Row i may have M_ij > 0 for
+    j < i exactly where the earlier row j has M_ji > 0, so the rows that fit
+    a prefix are looked up by that support pattern and no asymmetric prefix
+    grows.
+    """
+    compositions = tuple(_compositions(2 * n, k))
+    # fitting[i][mask]: rows whose support among the columns j < i is mask.
+    fitting = [{} for _ in range(k)]
+    for row in compositions:
+        support = sum(1 << j for j, count in enumerate(row) if count)
+        for i in range(k):
+            fitting[i].setdefault(support & ((1 << i) - 1), []).append(row)
+
+    def extend(prefix):
+        i = len(prefix)
+        if i == k:
+            yield prefix
+            return
+        required = sum(1 << j for j, row in enumerate(prefix) if row[i])
+        for row in fitting[i].get(required, ()):
+            yield from extend(prefix + (row,))
+
+    yield from extend(())
+
+
+@functools.cache
+def closed_candidate_matrices(n, k):
+    """Every support-symmetric matrix that passes the balance and parity rules.
+
+    The set candidate_matrices picks one least conjugate per S_k orbit from,
+    closed under recoloring and sorted by rows, by filtering every
+    support-symmetric matrix rather than growing a unit-transfer tree.
+    """
+    return tuple(
+        ParameterMatrix(rows)
+        for rows in support_symmetric_rows(n, k)
+        if _is_balanced(rows) and _has_parity_split(rows)
+    )
+
+
+def least_conjugates(matrices):
+    """The rows of the least conjugate of each S_k orbit met among the matrices, sorted.
+
+    Each orbit is listed whole, by ParameterMatrix.relabeled, from the first
+    of its members met.
+    """
+    perms = list(itertools.permutations(range(1, matrices[0].k + 1)))
+    seen, least = set(), []
+    for matrix in matrices:
+        if matrix.rows not in seen:
+            orbit = {matrix.relabeled(p).rows for p in perms}
+            seen |= orbit
+            least.append(min(orbit))
+    return sorted(least)
 
 
 def all_row_sum_matrices(n, k):

@@ -296,7 +296,7 @@ class TestJsonRoundTrip:
         (lambda b: enumerate_perfect_finite(30, DistanceSet((1,)), 2, budget=b),
          "finite search for t=30, k=2", "vertices colored plus k! per perfect partition", 384, 383),
         (lambda b: candidate_matrices(1, 3, budget=b),
-         "matrix generation for n=1, k=3", "support-symmetric matrices generated", 26, 25),
+         "matrix generation for n=1, k=3", "tree matrices generated", 22, 21),
         (lambda b: enumerate_periodic_perfect(2, 2, budget=b),
          "periodic search for n=2, k=2", "window digits placed plus steps walked", 330, 329),
         (lambda b: all_4n_colorings(1, 2, budget=b),

@@ -29,7 +29,6 @@ from circulant_colorings.enumeration import (
     _has_parity_split,
     _is_balanced,
     _prenecklace_windows,
-    _support_symmetric,
     _tap_table,
 )
 from circulant_colorings.perfection import admissible_matrix_templates
@@ -37,10 +36,13 @@ from conftest import (
     all_row_sum_matrices,
     brute_canonical_form,
     brute_perfect_words,
+    closed_candidate_matrices,
     consistent_windows,
     is_prenecklace,
+    least_conjugates,
     scan_perfect_finite,
     subset_parity_split,
+    support_symmetric_rows,
     surjective_word_count,
     table_periodic_search,
 )
@@ -271,11 +273,15 @@ class TestEnumeratePerfectFinite:
 class TestCandidateMatrices:
     def test_two_color_counts(self):
         for n, expected in ((1, 4), (2, 10), (3, 16), (4, 22)):
-            assert len(candidate_matrices(n, 2)) == expected
-        # the pruning rules rediscover exactly the admissible 2-color templates
+            assert len(closed_candidate_matrices(n, 2)) == expected
+        # the pruning rules rediscover exactly the admissible 2-color templates,
+        # and candidate_matrices returns one least conjugate per orbit of them
         for n in range(1, 8):
             templates = {m for fam in admissible_matrix_templates(n) for m in fam.matrices()}
-            assert set(candidate_matrices(n, 2)) == templates, n
+            assert set(closed_candidate_matrices(n, 2)) == templates, n
+            assert [m.rows for m in candidate_matrices(n, 2)] == least_conjugates(
+                sorted(templates, key=lambda m: m.rows)
+            ), n
 
     def test_single_color(self):
         assert candidate_matrices(2, 1) == (ParameterMatrix(((4,),)),)
@@ -285,12 +291,28 @@ class TestCandidateMatrices:
         assert len(raw) == 216
         assert all(m.row_sums() == (2, 2, 2) for m in raw)
         assert len(set(raw)) == 216
+        assert len(closed_candidate_matrices(1, 3)) == 13
         mats = candidate_matrices(1, 3)
         assert all(m.row_sums() == (2, 2, 2) for m in mats)
-        assert len(set(mats)) == len(mats) == 13
+        assert len(set(mats)) == len(mats) == 4
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, 2) for n in range(1, 9)]
+        + [(n, 3) for n in range(1, 6)]
+        + [(1, 4), (2, 4), (1, 5), (1, 6)],
+    )
+    def test_orbit_representatives_match_oracle(self, n, k):
+        # every size where the oracle, which filters all support-symmetric
+        # matrices, takes under 0.5 s: the tree's representatives are the
+        # least conjugates of the oracle's closed set, one per orbit, sorted
+        closed = closed_candidate_matrices(n, k)
+        mats = candidate_matrices(n, k)
+        assert [m.rows for m in mats] == least_conjugates(closed)
+        assert all(type(m) is ParameterMatrix for m in mats)
 
     def test_pruning_stage_counts(self):
-        # (n, k): support-symmetric, + balance, + parity, S_k orbits
+        # (n, k): support-symmetric, + balance, + parity, S_k orbits returned
         table = {
             (2, 3): (553, 320, 46, 13),
             (3, 3): (5104, 1839, 85, 23),
@@ -299,14 +321,14 @@ class TestCandidateMatrices:
             (1, 5): (1438, 252, 252, 4),
         }
         for (n, k), expected in table.items():
-            symmetric = list(_support_symmetric(n, k))
+            symmetric = list(support_symmetric_rows(n, k))
             balanced = [rows for rows in symmetric if _is_balanced(rows)]
             parity = [rows for rows in balanced if _has_parity_split(rows)]
-            mats = candidate_matrices(n, k)
-            assert [m.rows for m in mats] == parity, (n, k)
+            assert [m.rows for m in closed_candidate_matrices(n, k)] == parity, (n, k)
             perms = list(itertools.permutations(range(1, k + 1)))
-            orbits = {min(m.relabeled(p).rows for p in perms) for m in mats}
-            assert (len(symmetric), len(balanced), len(parity), len(orbits)) == expected, (n, k)
+            mats = candidate_matrices(n, k)
+            counts = (len(symmetric), len(balanced), len(parity), len(mats))
+            assert counts == expected, (n, k)
             pruned = set(parity)
             assert all(m.relabeled(p).rows in pruned for m in mats for p in perms), (n, k)
         for n, k in ((2, 3), (1, 4)):
@@ -315,14 +337,14 @@ class TestCandidateMatrices:
                 for m in all_row_sum_matrices(n, k)
                 if all((m.rows[i][j] > 0) == (m.rows[j][i] > 0) for i in range(k) for j in range(k))
             }
-            assert set(_support_symmetric(n, k)) == raw, (n, k)
+            assert set(support_symmetric_rows(n, k)) == raw, (n, k)
 
     def test_parity_split_matches_subset_oracle(self):
         # every connected support, balanced or not, against all 2^k - 1 splits
         sizes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 4)]
         checked = accepted = 0
         for n, k in sizes + [(1, 4), (1, 5), (1, 6)]:
-            for rows in _support_symmetric(n, k):
+            for rows in support_symmetric_rows(n, k):
                 reached = [0]
                 for i in reached:
                     reached += [j for j, count in enumerate(rows[i]) if count and j not in reached]
@@ -354,10 +376,10 @@ class TestCandidateMatrices:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             candidate_matrices(4, 4, budget=10)
-        # the budget counts support-symmetric matrices generated: 26 at (1, 3)
-        assert len(candidate_matrices(1, 3, budget=26)) == 13
+        # the budget counts tree matrices generated: 22 at (1, 3)
+        assert len(candidate_matrices(1, 3, budget=22)) == 4
         with pytest.raises(BudgetExceededError):
-            candidate_matrices(1, 3, budget=25)
+            candidate_matrices(1, 3, budget=21)
         for budget in BAD_BUDGETS:
             with pytest.raises(ValueError):
                 candidate_matrices(1, 2, budget=budget)
@@ -485,7 +507,7 @@ class TestThreeTapEngine:
         # each with its primitive period.
         for n, k in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
             windows = list(itertools.product(range(1, k + 1), repeat=4 * n))
-            for matrix in candidate_matrices(n, k):
+            for matrix in closed_candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
                 walked, leaves = _generated(auto)
                 assert len(walked) == len(set(walked)), (n, k, matrix)
@@ -504,7 +526,7 @@ class TestThreeTapEngine:
         # each leaf cycle is the walk's: step_window from the start forces
         # the period's digits and is back at the start after p steps
         for n, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4)):
-            for matrix in candidate_matrices(n, k):
+            for matrix in closed_candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
                 _, leaves = _generated(auto)
                 for start, period in leaves.items():
@@ -522,7 +544,7 @@ class TestThreeTapEngine:
         # a deficit is negative, and it makes the next window consistent
         for n, k in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
             probe = 2 * n + 1
-            for matrix in candidate_matrices(n, k):
+            for matrix in closed_candidate_matrices(n, k):
                 auto = Automaton(n, k, matrix)
                 windows = consistent_windows(auto)
                 assert windows, (n, k, matrix)
@@ -542,13 +564,28 @@ class TestThreeTapEngine:
                     ]
                     assert successors == ([] if forced is None else [forced]), (matrix, window)
 
+    def test_taps_of_consistent_windows_read_a_neighbor_count(self):
+        # _tap_table stores None without computing it where r_a[o] = 0: on a
+        # consistent window the step's taps (a, b, o) = (c(2n-1), c(2n+1),
+        # c(0)) always have r_a[o] > 0, as c(0) is a neighbor of the vertex
+        # at 2n-1, so step_window never reads those entries
+        for n, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)):
+            middle = 2 * n
+            for matrix in closed_candidate_matrices(n, k):
+                auto = Automaton(n, k, matrix)
+                windows = consistent_windows(auto)
+                assert windows, (n, k, matrix)
+                for window in windows:
+                    a, o = window[middle - 1] - 1, window[0] - 1
+                    assert matrix.rows[a][o] > 0, (matrix, window)
+
     def test_matches_table_oracle(self, periodic_k2):
         # entries with their matrices, against the per-matrix table walk over
-        # every candidate matrix: the cross-check of the K-pair leaf cycles,
+        # the oracle's closed set of candidate matrices: the cross-check of the K-pair leaf cycles,
         # the dead-tap cuts and the orbit fold, none of which the oracle uses
         for n, k in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5)):
             result = periodic_k2[n] if k == 2 else enumerate_periodic_perfect(n, k)
-            oracle = table_periodic_search(n, k, candidate_matrices(n, k))
+            oracle = table_periodic_search(n, k, closed_candidate_matrices(n, k))
             assert result.entries == oracle.entries, (n, k)
 
 
@@ -603,10 +640,10 @@ class TestEnumeratePeriodicPerfect:
 
     def test_budget_caps_candidate_matrices(self):
         # the search of (1, 4) spends 97 units, but candidate_matrices
-        # generates 176 support-symmetric matrices
-        assert len(enumerate_periodic_perfect(1, 4, budget=176).entries) == 54
-        with pytest.raises(BudgetExceededError, match="spent 176 units .support-symmetric"):
-            enumerate_periodic_perfect(1, 4, budget=175)
+        # generates 110 tree matrices
+        assert len(enumerate_periodic_perfect(1, 4, budget=110).entries) == 54
+        with pytest.raises(BudgetExceededError, match="spent 110 units .tree matrices"):
+            enumerate_periodic_perfect(1, 4, budget=109)
         assert enumerate_periodic_perfect(1, 4).stats["units"] == 97
 
     def test_stats_report_the_units_spent(self):
@@ -639,14 +676,18 @@ class TestEnumeratePeriodicPerfect:
             assert unpruned.entries == default.entries, (n, k)
 
     def test_entries_do_not_depend_on_the_orbit_member_searched(self, monkeypatch):
-        # reversed, the candidates meet each orbit at its greatest image
-        # first; a recoloring maps cycles onto cycles, so the words and their
+        # each orbit searched at its greatest conjugate instead of its least;
+        # a recoloring maps cycles onto cycles, so the words and their
         # matrices are the same
         expected = {size: enumerate_periodic_perfect(*size) for size in ((2, 2), (2, 3), (1, 4))}
         candidates = enumeration.candidate_matrices
-        monkeypatch.setattr(
-            enumeration, "candidate_matrices", lambda n, k, budget=None: candidates(n, k)[::-1]
-        )
+
+        def greatest_conjugates(n, k, budget=None):
+            perms = list(itertools.permutations(range(1, k + 1)))
+            return tuple(max((m.relabeled(p) for p in perms), key=lambda c: c.rows)
+                         for m in candidates(n, k))
+
+        monkeypatch.setattr(enumeration, "candidate_matrices", greatest_conjugates)
         for size, result in expected.items():
             assert enumerate_periodic_perfect(*size).entries == result.entries, size
 
@@ -676,7 +717,7 @@ class TestEnumeratePeriodicPerfect:
         # least_rotation on it, so a wrong word would only cost time
         stats = {"k_pair_cycles": 0, "states_followed": 0, "pruned_dead_tap": 0}
         yielded = 0
-        for matrix in candidate_matrices(n, k):
+        for matrix in closed_candidate_matrices(n, k):
             automaton = Automaton(n, k, matrix)
             for least in _cycles(automaton, WorkMeter(None, "test", "units"), stats):
                 yielded += 1
