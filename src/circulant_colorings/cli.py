@@ -28,20 +28,8 @@ from .enumeration import enumerate_perfect_finite, enumerate_periodic_perfect
 from .verification import _pull_back, check_conjecture, check_theorem_k2
 
 # Fixed fill palette for DOT output; colorings with more than 12 colors cycle.
-DOT_PALETTE = (
-    "gold",
-    "skyblue",
-    "tomato",
-    "palegreen",
-    "orchid",
-    "orange",
-    "turquoise",
-    "salmon",
-    "yellowgreen",
-    "plum",
-    "khaki",
-    "lightgray",
-)
+DOT_PALETTE = ("gold", "skyblue", "tomato", "palegreen", "orchid", "orange",
+               "turquoise", "salmon", "yellowgreen", "plum", "khaki", "lightgray")
 
 
 class UsageError(Exception):

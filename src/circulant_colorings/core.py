@@ -227,16 +227,17 @@ class ParameterMatrix:
         k = self.k
         if set(map(type, new_color_of)) != {int} or sorted(new_color_of) != list(range(1, k + 1)):
             raise ValueError(f"relabeling must be a permutation of 1..{k}: {new_color_of!r}")
-        return _conjugator(new_color_of)(self.rows)
+        return _conjugator(new_color_of, {})(self.rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
 
-def _conjugator(new_color_of: tuple[int, ...]):
+def _conjugator(new_color_of: tuple[int, ...], shared: dict):
     """The map from a matrix's rows to its conjugate by old -> new_color_of[old-1].
 
     Entry (new_color_of[i], new_color_of[j]) of the image is entry (i, j).
+    Image rows go through shared, a caller-owned row -> row table, so equal rows are one tuple.
     Neither the image nor new_color_of, a permutation of 1..k, is validated.
     """
     old_of = [0] * len(new_color_of)
@@ -246,7 +247,8 @@ def _conjugator(new_color_of: tuple[int, ...]):
 
     def conjugate(rows: tuple[tuple[int, ...], ...]) -> ParameterMatrix:
         matrix = object.__new__(ParameterMatrix)
-        object.__setattr__(matrix, "rows", tuple(map(pick, pick(rows))) if pick else rows)
+        picked = list(map(pick, pick(rows))) if pick else rows
+        object.__setattr__(matrix, "rows", tuple(map(shared.setdefault, picked, picked)))
         return matrix
 
     return conjugate

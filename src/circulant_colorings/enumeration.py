@@ -16,10 +16,10 @@ than its fixed row allows, since counts only grow (bound rule).  Neither
 rule depends on the order, and growth strings along any fixed order list
 each partition once.
 check_perfect runs once per partition that survives to a leaf and is the
-verdict and the source of its matrix; a labeling's matrix is the class
-matrix conjugated by the recoloring (ParameterMatrix.relabeled), and
-rotations and reflections are graph automorphisms, so an orbit
-representative keeps the matrix of the labeling it came from.
+verdict and the source of its matrix; a kept labeling's matrix is the
+class matrix conjugated by the recoloring (core._conjugator, whose rows go
+through one table per search), and rotations and reflections are graph
+automorphisms, so an orbit representative keeps its labeling's matrix.
 
 Every search spends its budget through one core.WorkMeter, in its own
 unit: the finite search counts vertices colored plus k! per perfect
@@ -72,7 +72,7 @@ cycle found is expanded through the k! recolorings once and folded there.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations, product
 from math import factorial
 from operator import gt, sub
@@ -307,6 +307,8 @@ def enumerate_perfect_finite(
         budget, f"finite search for t={t}, k={k}", "vertices colored plus k! per perfect partition"
     )
     labelings = tuple(permutations(range(1, k + 1)))
+    shared: dict = {}  # the kept matrices' rows, so equal rows are one tuple
+    conjugator = cache(lambda target: _conjugator(target, shared))  # built when first kept
 
     def least_image(word: tuple[int, ...]) -> tuple[int, ...]:
         # finite words keep their length: no primitive reduction
@@ -334,7 +336,7 @@ def enumerate_perfect_finite(
             covered.update(images)
             images = dict([min(images.items())])  # the class's least image
         for image, target in images.items():
-            found[image] = verdict.matrix.relabeled(target)
+            found[image] = conjugator(target)(verdict.matrix.rows)
     # every word labels a k-class partition or is a position image of one
     entries = tuple((_built_coloring(FiniteColoring, w, k), found[w]) for w in sorted(found))
     stats.update(colorings=len(entries), units=meter.spent)
@@ -468,7 +470,8 @@ def candidate_matrices(
         support = sum(1 << j for j, count in enumerate(row) if count)
         for i in range(k):
             fitting[i].setdefault(support & ((1 << i) - 1), []).append(row)
-    conjugators = [_conjugator(p) for p in permutations(range(1, k + 1))]
+    shared: dict = {}  # seen's rows, so equal rows are one tuple
+    conjugators = [_conjugator(p, shared) for p in permutations(range(1, k + 1))]
     seen, least = set(), []  # every conjugate of the orbits met; their least members
 
     def extend(prefix: tuple[tuple[int, ...], ...], close: set, roots: int):
@@ -769,7 +772,8 @@ def enumerate_periodic_perfect(
     meter = WorkMeter(
         budget, f"periodic search for n={n}, k={k}", "window digits placed plus steps walked"
     )
-    recolorings = [(p, _conjugator(p)) for p in permutations(range(1, k + 1))]
+    shared: dict = {}  # one row table for every matrix's targets
+    recolorings = [(p, _conjugator(p, shared)) for p in permutations(range(1, k + 1))]
     identity = recolorings[0][0].__getitem__  # its image of a least rotation is least
     found: dict[tuple[int, ...], Entry] = {}
     # The words of the classes recorded so far; found holds them all unless a flag folds.

@@ -15,6 +15,7 @@ the independent oracle the verdict path is tested against.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     ParameterMatrix,
     PeriodicColoring,
     _built_coloring,
+    _conjugator,
     least_rotation,
     make_odd_distance_set,
     primitive_period,
@@ -36,7 +38,7 @@ from .perfection import (
     outer_degrees,
 )
 from .constructors import path_colorings
-from .enumeration import Entry, enumerate_perfect_finite, enumerate_periodic_perfect
+from .enumeration import enumerate_perfect_finite, enumerate_periodic_perfect
 
 
 def induce(coloring: FiniteColoring, dset: DistanceSet) -> PeriodicColoring:
@@ -70,22 +72,19 @@ def _finite_orders(n: int) -> tuple[tuple[int, str], ...]:
     return ((4 * n - 2, "from_4n-2"), (4 * n, "from_4n"), (4 * n + 2, "from_4n+2"))
 
 
-def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], Entry]:
-    """Word -> (coloring, matrix) for each recoloring of every path template
-    check_perfect confirms on dset: one check per template, then relabeled
-    once per word.  A recolored template is a primitive period, so its
-    least rotation is the word and the coloring is built without
-    re-validation."""
-    family: dict[tuple[int, ...], Entry] = {}
-    for template in path_colorings(k):
-        verdict = check_perfect(template, dset)
-        if not verdict.is_perfect:
-            continue
-        for target in permutations(range(1, k + 1)):
-            word = least_rotation(tuple(target[c - 1] for c in template.word))
-            if word not in family:
-                coloring = _built_coloring(PeriodicColoring, word, k)
-                family[word] = (coloring, verdict.matrix.relabeled(target))
+def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], tuple]:
+    """Word -> (template rows, recoloring) for each recoloring of every path
+    template check_perfect confirms on dset, one check per template.  The
+    word's matrix is the rows conjugated by the recoloring, and only a
+    caller that keeps it builds it.  A recolored template is a primitive
+    period, so its least rotation is the word, a valid canonical word."""
+    verdicts = ((template.word, check_perfect(template, dset)) for template in path_colorings(k))
+    confirmed = [(word, verdict.matrix.rows) for word, verdict in verdicts if verdict.is_perfect]
+    family: dict[tuple[int, ...], tuple] = {}
+    for target in permutations(range(1, k + 1)):
+        for template, rows in confirmed:
+            word = least_rotation(tuple(target[c - 1] for c in template))
+            family.setdefault(word, (rows, target))
     return family
 
 
@@ -128,27 +127,33 @@ def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
     to each of the three finite searches, which count their own work
     against it; each search's pullbacks are reduced to their words before
     the next search runs.  The searches fold rotations: every rotation of a
-    finite word pulls back to the same periodic coloring and matrix.  The
-    finite words are valid already, so each pullback is built from its
-    canonical word without re-validation.
+    finite word pulls back to the same periodic coloring and matrix.  Each
+    finite word is its least rotation u^m, and its primitive period u is
+    least too, since a smaller rotation v of u would give v^m < u^m; so u is
+    the canonical word and its pullback is built without re-validation.
+    A path word's matrix is built only when no finite search found the
+    word, and entries with equal tags share one frozenset.
     """
     require_positive_int("k", k)
     dset = make_odd_distance_set(n)
-    found: dict[tuple[int, ...], Entry] = {}
+    found: dict[tuple[int, ...], ParameterMatrix] = {}
     for t, _ in _finite_orders(n):
         result = enumerate_perfect_finite(t, dset, k, rotation=True, budget=budget)
         for finite, matrix in result.entries:
-            word = least_rotation(primitive_period(finite.word))
-            if word not in found:
-                found[word] = (_built_coloring(PeriodicColoring, word, k), matrix)
+            found.setdefault(primitive_period(finite.word), matrix)
     path = _path_family(dset, k)
-    for word, entry in path.items():
-        found.setdefault(word, entry)
-    entries = tuple(
-        InducedEntry(coloring, matrix, frozenset(_tags(n, coloring, path)))
-        for _, (coloring, matrix) in sorted(found.items())
-    )
-    return InducedSet(n, k, entries)
+    shared: dict = {}  # the path matrices' rows, so equal rows are one tuple
+    conjugator = cache(lambda target: _conjugator(target, shared))
+    for word, (rows, target) in path.items():
+        if word not in found:
+            found[word] = conjugator(target)(rows)
+    tag_sets: dict[frozenset[str], frozenset[str]] = {}
+    entries = []
+    for word, matrix in sorted(found.items()):
+        coloring = _built_coloring(PeriodicColoring, word, k)
+        tags = frozenset(_tags(n, coloring, path))
+        entries.append(InducedEntry(coloring, matrix, tag_sets.setdefault(tags, tags)))
+    return InducedSet(n, k, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def check_conjecture(n: int, k: int, budget: int | None = None) -> CheckReport:
             missing.append(coloring.word)
     extra = tuple(sorted(unseen))
     for word in extra:
-        tally.update(_tags(n, path[word][0], path))
+        tally.update(_tags(n, _built_coloring(PeriodicColoring, word, k), path))
     induced = len(enumerated.entries) - len(missing) + len(extra)
     counts = {"enumerated": len(enumerated.entries), "induced": induced, **tally}
     verdict = "confirmed" if not missing else "counterexample"

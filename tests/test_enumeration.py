@@ -224,6 +224,19 @@ class TestEnumeratePerfectFinite:
                 for coloring, matrix in result.entries:
                     assert check_perfect(coloring, D2).matrix == matrix, (t, k, flags)
 
+    def test_rotation_folded_words_have_least_primitive_periods(self):
+        # build_induced_set takes a rotation-folded word's primitive period
+        # as its canonical periodic word: u^m least among its rotations
+        # makes u least among its own
+        for t, dset, k in ((8, D2, 2), (12, D2, 2), (12, make_odd_distance_set(3), 3),
+                           (10, D2, 3), (8, D2, 4), (6, D2, 3)):
+            words = enumerate_perfect_finite(t, dset, k, rotation=True).words()
+            assert any(len(primitive_period(w)) < t for w in words), (t, k)
+            for word in words:
+                assert word == least_rotation(word), (t, k, word)
+                period = primitive_period(word)
+                assert period == least_rotation(period), (t, k, word)
+
     def test_rotation_reduction(self):
         full = enumerate_perfect_finite(8, D2, 2)
         reduced = enumerate_perfect_finite(8, D2, 2, rotation=True)

@@ -192,6 +192,68 @@ class TestCompletenessChecks:
         assert isinstance(data["counts"], dict)
 
 
+def _class_matrix_relabeled(coloring, dset):
+    """The matrix of a coloring's class, relabeled to the coloring: the class
+    is the partition of its word, labeled in order of first appearance."""
+    first = list(dict.fromkeys(coloring.word))
+    base = type(coloring)(tuple(first.index(c) + 1 for c in coloring.word), coloring.k)
+    return check_perfect(base, dset).matrix.relabeled(tuple(first))
+
+
+def _rows_shared(matrices) -> bool:
+    rows = [row for matrix in matrices for row in matrix.rows]
+    return len({id(row) for row in rows}) == len(set(rows))
+
+
+class TestRelabelExpansion:
+    def test_matrices_are_relabeled_class_matrices_with_shared_rows(self):
+        finite = enumerate_perfect_finite(8, D2, 7, rotation=True)
+        periodic = enumerate_periodic_perfect(1, 4)
+        for result, dset, count in ((finite, D2, 7560), (periodic, D1, 54)):
+            assert len(result.entries) == count
+            for coloring, matrix in result.entries:
+                assert matrix == _class_matrix_relabeled(coloring, dset), coloring.word
+            assert _rows_shared(m for _, m in result.entries)
+
+    def test_induced_set_matrices_are_relabeled_class_matrices(self):
+        # each finite search and the path family keep one row table each, so
+        # rows are shared within the matrices of each source: the first
+        # order whose search returns the word, or the path family
+        n, k = 2, 4
+        dset = make_odd_distance_set(n)
+        by_source = {}
+        for e in build_induced_set(n, k).entries:
+            assert e.matrix == _class_matrix_relabeled(e.coloring, dset), e.coloring.word
+            orders = [t for t in (4 * n - 2, 4 * n, 4 * n + 2) if t % e.coloring.period == 0]
+            by_source.setdefault(orders[0] if orders else 0, []).append(e.matrix)
+        assert sorted(by_source) == [0, 6, 8, 10]
+        assert all(_rows_shared(matrices) for matrices in by_source.values())
+
+    def test_equal_tag_sets_are_one_frozenset(self):
+        entries = build_induced_set(2, 4).entries
+        assert len({id(e.tags) for e in entries}) == len({e.tags for e in entries}) == 5
+
+    def test_path_matrices_built_only_where_kept(self, monkeypatch):
+        built = []
+        conjugator = verification._conjugator
+
+        def counting(new_color_of, shared):
+            conjugate = conjugator(new_color_of, shared)
+
+            def counted(rows):
+                built.append(new_color_of)
+                return conjugate(rows)
+
+            return counted
+
+        monkeypatch.setattr(verification, "_conjugator", counting)
+        assert check_conjecture(1, 5).confirmed
+        assert built == []
+        entries = build_induced_set(1, 4).entries
+        path_only = [e for e in entries if e.tags == {"from_path"}]
+        assert len(path_only) == len(built) == 36
+
+
 class TestRegressionSuite:
     def test_all_checks_pass_small(self):
         report = structural_regression_suite(2)
