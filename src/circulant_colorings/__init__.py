@@ -23,13 +23,8 @@ from .core import (
 )
 from .perfection import (
     PerfectionVerdict,
-    admissible_matrix_templates,
-    check_even_odd_balance,
-    check_local_patterns,
     check_perfect,
-    check_period_length_claim,
     is_bipartite_coloring,
-    outer_degrees,
 )
 from .constructors import (
     all_4n_colorings,
@@ -53,7 +48,6 @@ from .verification import (
     check_conjecture,
     check_theorem_k2,
     induce,
-    structural_regression_suite,
 )
 
 __version__ = "0.1.0"
@@ -71,13 +65,8 @@ __all__ = [
     "neighbor_offsets",
     "primitive_period",
     "PerfectionVerdict",
-    "admissible_matrix_templates",
-    "check_even_odd_balance",
-    "check_local_patterns",
     "check_perfect",
-    "check_period_length_claim",
     "is_bipartite_coloring",
-    "outer_degrees",
     "all_4n_colorings",
     "all_matched_colorings",
     "count_4n_colorings",
@@ -95,6 +84,5 @@ __all__ = [
     "check_conjecture",
     "check_theorem_k2",
     "induce",
-    "structural_regression_suite",
     "__version__",
 ]

@@ -135,7 +135,7 @@ def _built_coloring(cls, word: tuple[int, ...], k: int):
     return coloring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteColoring:
     """Coloring of Ci_t(D) given as the word (color of 0, ..., color of t-1)."""
 
@@ -176,7 +176,7 @@ def least_rotation(word: tuple) -> tuple:
     return min(word[i:] + word[:i] for i, c in enumerate(word) if c == least)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicColoring:
     """Periodic coloring of Z, stored in canonical form.
 
@@ -201,7 +201,7 @@ class PeriodicColoring:
         return self.word[i % len(self.word)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterMatrix:
     """k x k matrix whose row i counts the colors seen from any color-i vertex."""
 

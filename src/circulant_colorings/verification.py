@@ -10,7 +10,10 @@ among the recolorings of the path templates that check_perfect confirms.
 check_conjecture tags each coloring of the one periodic search by that rule
 and runs no finite search.  build_induced_set takes the finite route: it
 searches the three orders and tags each pullback by the same rule, so it is
-the independent oracle the verdict path is tested against.
+the independent oracle the verdict path is tested against.  The paper's
+other k = 2 claims (outer degree sums, local patterns, period lengths,
+parity balance) are properties of the search's output, so the test suite
+checks them there (tests/conftest.py, k2_claims_broken).
 """
 
 from collections import Counter
@@ -30,13 +33,7 @@ from .core import (
     primitive_period,
     require_positive_int,
 )
-from .perfection import (
-    check_even_odd_balance,
-    check_local_patterns,
-    check_perfect,
-    check_period_length_claim,
-    outer_degrees,
-)
+from .perfection import check_perfect
 from .constructors import path_colorings
 from .enumeration import enumerate_perfect_finite, enumerate_periodic_perfect
 
@@ -88,16 +85,23 @@ def _path_family(dset: DistanceSet, k: int) -> dict[tuple[int, ...], tuple]:
     return family
 
 
-def _tags(n: int, coloring: PeriodicColoring, path_words) -> list[str]:
-    """The sources a perfect coloring of Ci(D_n) is induced from, sorted:
-    each finite order its period divides, and the path family."""
-    tags = [tag for t, tag in _finite_orders(n) if t % coloring.period == 0]
-    if coloring.word in path_words:
-        tags.append("from_path")
-    return sorted(tags)
+def _tagger(n: int, path_words):
+    """coloring -> the sorted sources a perfect coloring of Ci(D_n) is
+    induced from: each finite order its period divides, then the path
+    family, whose tag sorts after every order tag.  The order tags are
+    found once per period."""
+
+    @cache
+    def orders(period: int) -> tuple[str, ...]:
+        return tuple(sorted(tag for t, tag in _finite_orders(n) if t % period == 0))
+
+    def tags(coloring: PeriodicColoring) -> tuple[str, ...]:
+        return orders(coloring.period) + (("from_path",) if coloring.word in path_words else ())
+
+    return tags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InducedEntry:
     """One candidate periodic coloring with the sources that yield it."""
 
@@ -147,12 +151,13 @@ def build_induced_set(n: int, k: int, budget: int | None = None) -> InducedSet:
     for word, (rows, target) in path.items():
         if word not in found:
             found[word] = conjugator(target)(rows)
-    tag_sets: dict[frozenset[str], frozenset[str]] = {}
+    tagger = _tagger(n, path)
+    tag_sets: dict[tuple[str, ...], frozenset[str]] = {}
     entries = []
     for word, matrix in sorted(found.items()):
         coloring = _built_coloring(PeriodicColoring, word, k)
-        tags = frozenset(_tags(n, coloring, path))
-        entries.append(InducedEntry(coloring, matrix, tag_sets.setdefault(tags, tags)))
+        tags = tagger(coloring)
+        entries.append(InducedEntry(coloring, matrix, tag_sets.setdefault(tags, frozenset(tags))))
     return InducedSet(n, k, tuple(entries))
 
 
@@ -201,87 +206,20 @@ def check_conjecture(n: int, k: int, budget: int | None = None) -> CheckReport:
     """
     enumerated = enumerate_periodic_perfect(n, k, budget=budget)
     path = _path_family(make_odd_distance_set(n), k)
+    tagger = _tagger(n, path)
     unseen = set(path)
     missing = []
     tally: Counter[str] = Counter()
     for coloring, _ in enumerated.entries:
         unseen.discard(coloring.word)
-        tags = _tags(n, coloring, path)
+        tags = tagger(coloring)
         tally.update(tags)
         if not tags:
             missing.append(coloring.word)
     extra = tuple(sorted(unseen))
     for word in extra:
-        tally.update(_tags(n, _built_coloring(PeriodicColoring, word, k), path))
+        tally.update(tagger(_built_coloring(PeriodicColoring, word, k)))
     induced = len(enumerated.entries) - len(missing) + len(extra)
     counts = {"enumerated": len(enumerated.entries), "induced": induced, **tally}
     verdict = "confirmed" if not missing else "counterexample"
     return CheckReport(n, k, verdict, tuple(missing), extra, counts)
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """Structural claims re-checked against a fresh exhaustive enumeration."""
-
-    n: int
-    colorings_checked: int
-    checks: dict
-    witnesses: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "colorings_checked": self.colorings_checked,
-            "checks": dict(self.checks),
-            "witnesses": {name: [list(w) for w in ws] for name, ws in self.witnesses.items()},
-        }
-
-
-def structural_regression_suite(n: int, budget: int | None = None) -> RegressionReport:
-    """Re-derive the structural facts about perfect 2-colorings of Ci(D_n).
-
-    Every claim is checked against every coloring found by exhaustive search,
-    with matrices recomputed from scratch: outer degree sums land in
-    {4n, 2n, 2n+1, 2n-1}; the two local propagation patterns hold; the stated
-    period lengths divide the primitive period; and each coloring of even
-    period is bipartite or balances its colors across the two parities.
-    """
-    dset = make_odd_distance_set(n)
-    result = enumerate_periodic_perfect(n, 2, budget=budget)
-    allowed_sums = {4 * n, 2 * n, 2 * n + 1, 2 * n - 1}
-    checks = {
-        "outer_degree_sums": True,
-        "local_patterns": True,
-        "period_lengths": True,
-        "parity_balance": True,
-    }
-    witnesses: dict[str, list[tuple[int, ...]]] = {name: [] for name in checks}
-
-    def fail(name: str, word: tuple[int, ...]):
-        checks[name] = False
-        witnesses[name].append(word)
-
-    for coloring, _ in result.entries:
-        verdict = check_perfect(coloring, dset)
-        if not verdict.is_perfect:
-            raise RuntimeError(f"internal error: enumerated {coloring.word} is not perfect")
-        degs = outer_degrees(verdict.matrix, n)
-        if degs.b + degs.c not in allowed_sums:
-            fail("outer_degree_sums", coloring.word)
-        if not check_local_patterns(coloring, n):
-            fail("local_patterns", coloring.word)
-        if not check_period_length_claim(coloring, n):
-            fail("period_lengths", coloring.word)
-        if coloring.period % 2 == 0 and not check_even_odd_balance(coloring):
-            fail("parity_balance", coloring.word)
-
-    return RegressionReport(
-        n,
-        len(result.entries),
-        checks,
-        {name: tuple(ws) for name, ws in witnesses.items()},
-    )

@@ -8,6 +8,7 @@ pruned search replaces, so no search is validated by its own shortcuts.
 import functools
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -392,6 +393,77 @@ def finite_route_report(n, k):
     extra = tuple(sorted(set(tags) - enumerated))
     verdict = "confirmed" if not missing else "counterexample"
     return CheckReport(n, k, verdict, missing, extra, counts)
+
+
+def outer_degrees(matrix):
+    """(b, c): color-2 neighbors of a color-1 vertex, and color-1 neighbors of
+    a color-2 vertex.  Only a 2 x 2 matrix unpacks; others raise ValueError."""
+    (_, b), (c, _) = matrix.rows
+    return b, c
+
+
+def two_color_templates(n):
+    """b + c -> the matrices the paper admits for a perfect 2-coloring of Ci(D_n).
+
+    The sums are 4n, 2n, 2n+1 and 2n-1, in that order.  4n is the bipartite
+    matrix; in the others c fixes the diagonal through the row sums 2n,
+    giving ((c,b),(c,b)), ((c-1,b),(c,b-1)) and ((c+1,b),(c,b+1)) for every
+    b, c >= 1 that leaves no entry negative, so the 2n-1 family is empty at
+    n = 1.
+    """
+    shapes = {
+        2 * n: lambda b, c: ((c, b), (c, b)),
+        2 * n + 1: lambda b, c: ((c - 1, b), (c, b - 1)),
+        2 * n - 1: lambda b, c: ((c + 1, b), (c, b + 1)),
+    }
+    templates = {4 * n: [ParameterMatrix(((0, 2 * n), (2 * n, 0)))]}
+    for total, shape in shapes.items():
+        candidates = (shape(b, total - b) for b in range(1, total))
+        templates[total] = [ParameterMatrix(rows) for rows in candidates if min(map(min, rows)) >= 0]
+    return templates
+
+
+def parity_balanced(coloring):
+    """Whether the even and odd positions of the word share no color, or hold
+    every color equally often.  An odd length has no aligned parity classes."""
+    word = coloring.word
+    if len(word) % 2:
+        raise ValueError(f"word length must be even, got {len(word)}")
+    evens, odds = Counter(word[::2]), Counter(word[1::2])
+    return evens == odds or not evens.keys() & odds.keys()
+
+
+def k2_claims_broken(coloring, matrix, n):
+    """The paper's claims that a perfect 2-coloring of Ci(D_n) with this matrix breaks.
+
+    * outer_degree_sums: b + c is 4n, 2n, 2n+1 or 2n-1;
+    * local_patterns: at every vertex i, phi(i) = phi(i+2) forces
+      phi(i-2n+1) = phi(i+2n+1); otherwise b + c = 2n+1 forces
+      phi(i-2n+1) = phi(i+2) and phi(i+2n+1) = phi(i), and b + c = 2n-1
+      forces phi(i-2n+1) = phi(i) and phi(i+2n+1) = phi(i+2);
+    * period_lengths: the primitive period divides the length b + c forces,
+      2 for 4n, 4n for 2n, and 2n+1 and 2n-1 for the matching sums;
+    * parity_balance: an even period is parity_balanced.
+    """
+    b, c = outer_degrees(matrix)
+    forced = {4 * n: 2, 2 * n: 4 * n, 2 * n + 1: 2 * n + 1, 2 * n - 1: 2 * n - 1}.get(b + c)
+    phi, shift = coloring.color_at, 2 * n - 1
+
+    def pattern_holds(i):
+        here, ahead, left, right = phi(i), phi(i + 2), phi(i - shift), phi(i + shift + 2)
+        if here == ahead:
+            return left == right
+        if b + c == 2 * n + 1:
+            return (left, right) == (ahead, here)
+        return b + c != 2 * n - 1 or (left, right) == (here, ahead)
+
+    claims = {
+        "outer_degree_sums": forced is not None,
+        "local_patterns": all(map(pattern_holds, range(coloring.period))),
+        "period_lengths": forced is not None and forced % coloring.period == 0,
+        "parity_balance": coloring.period % 2 == 1 or parity_balanced(coloring),
+    }
+    return [claim for claim, holds in claims.items() if not holds]
 
 
 @pytest.fixture(scope="session")

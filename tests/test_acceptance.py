@@ -18,7 +18,6 @@ from circulant_colorings import (
     DistanceSet,
     FiniteColoring,
     PeriodicColoring,
-    admissible_matrix_templates,
     all_4n_colorings,
     all_matched_colorings,
     build_induced_set,
@@ -29,13 +28,11 @@ from circulant_colorings import (
     enumerate_perfect_finite,
     enumerate_periodic_perfect,
     induce,
-    structural_regression_suite,
     make_odd_distance_set,
-    outer_degrees,
     path_colorings,
     step_window,
 )
-from conftest import surjective_word_count
+from conftest import k2_claims_broken, outer_degrees, surjective_word_count, two_color_templates
 
 GOLDEN = Path(__file__).parent / "golden"
 D2 = DistanceSet((1, 3))
@@ -113,24 +110,23 @@ def test_criterion_03_outer_degree_sums():
         for n in (1, 2, 3, 4):
             result = enumerate_periodic_perfect(n, 2)
             allowed = {4 * n, 2 * n, 2 * n + 1, 2 * n - 1}
-            feasible = {f.bc_sum for f in admissible_matrix_templates(n) if f.matrices()}
+            feasible = {total for total, matrices in two_color_templates(n).items() if matrices}
             realized = set()
             for coloring, matrix in result.entries:
-                degs = outer_degrees(matrix, n)
-                assert degs.b + degs.c in allowed, (n, coloring.word)
-                realized.add(degs.b + degs.c)
+                total = sum(outer_degrees(matrix))
+                assert total in allowed, (n, coloring.word)
+                realized.add(total)
             assert realized == feasible, (n, realized, feasible)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0
         info["note"] = f"{elapsed:.2f}s"
 
 
-def test_criterion_04_structural_regression_suite():
-    with criterion(4, "structural regression suite passes with zero witnesses for n=1..4"):
+def test_criterion_04_structural_regression_suite(periodic_k2):
+    with criterion(4, "every 2-coloring keeps the paper's structural claims for n=1..4"):
         for n in (1, 2, 3, 4):
-            report = structural_regression_suite(n)
-            assert report.ok, (n, report.checks)
-            assert all(ws == () for ws in report.witnesses.values()), (n, report.witnesses)
+            for coloring, matrix in periodic_k2[n].entries:
+                assert k2_claims_broken(coloring, matrix, n) == [], (n, coloring.word)
 
 
 def test_criterion_05_two_color_completeness():

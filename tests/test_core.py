@@ -15,6 +15,7 @@ from circulant_colorings import (
     PeriodicColoring,
     all_4n_colorings,
     all_matched_colorings,
+    build_induced_set,
     candidate_matrices,
     coloring_from_json,
     coloring_to_json,
@@ -320,3 +321,9 @@ class TestPublicSurface:
             if not hasattr(circulant_colorings, name)
         ]
         assert missing == []
+
+    def test_per_coloring_values_have_no_instance_dict(self):
+        # searches hold one of each per coloring found, so each is slotted
+        entry = build_induced_set(1, 2).entries[0]
+        values = (FiniteColoring((1, 2), 2), entry, entry.coloring, entry.matrix)
+        assert [hasattr(v, "__dict__") for v in values] == [False] * 4

@@ -31,7 +31,6 @@ from circulant_colorings.enumeration import (
     _prenecklace_windows,
     _tap_table,
 )
-from circulant_colorings.perfection import admissible_matrix_templates
 from conftest import (
     all_row_sum_matrices,
     brute_canonical_form,
@@ -45,6 +44,7 @@ from conftest import (
     support_symmetric_rows,
     surjective_word_count,
     table_periodic_search,
+    two_color_templates,
 )
 
 D1 = DistanceSet((1,))
@@ -290,7 +290,7 @@ class TestCandidateMatrices:
         # the pruning rules rediscover exactly the admissible 2-color templates,
         # and candidate_matrices returns one least conjugate per orbit of them
         for n in range(1, 8):
-            templates = {m for fam in admissible_matrix_templates(n) for m in fam.matrices()}
+            templates = {m for ms in two_color_templates(n).values() for m in ms}
             assert set(closed_candidate_matrices(n, 2)) == templates, n
             assert [m.rows for m in candidate_matrices(n, 2)] == least_conjugates(
                 sorted(templates, key=lambda m: m.rows)

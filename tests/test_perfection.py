@@ -11,16 +11,18 @@ from circulant_colorings import (
     ParameterMatrix,
     PerfectionVerdict,
     PeriodicColoring,
-    admissible_matrix_templates,
-    check_even_odd_balance,
-    check_local_patterns,
     check_perfect,
-    check_period_length_claim,
     is_bipartite_coloring,
     make_odd_distance_set,
-    outer_degrees,
 )
-from conftest import neighbor_color_counts, per_vertex_perfection
+from conftest import (
+    k2_claims_broken,
+    neighbor_color_counts,
+    outer_degrees,
+    parity_balanced,
+    per_vertex_perfection,
+    two_color_templates,
+)
 
 D2 = DistanceSet((1, 3))
 
@@ -145,101 +147,84 @@ class TestBipartiteColoring:
 
 class TestEvenOddBalance:
     def test_disjoint_sides(self):
-        assert check_even_odd_balance(PeriodicColoring((1, 2), 2))
+        assert parity_balanced(PeriodicColoring((1, 2), 2))
 
     def test_balanced_sides(self):
-        assert check_even_odd_balance(PeriodicColoring((1, 1, 2, 2), 2))
+        assert parity_balanced(PeriodicColoring((1, 1, 2, 2), 2))
 
     def test_neither(self):
-        assert not check_even_odd_balance(FiniteColoring((1, 1, 1, 2), 2))
+        assert not parity_balanced(FiniteColoring((1, 1, 1, 2), 2))
 
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
-            check_even_odd_balance(PeriodicColoring((1, 1, 2), 2))
+            parity_balanced(PeriodicColoring((1, 1, 2), 2))
 
 
 class TestOuterDegrees:
     def test_reads_off_diagonal(self):
-        degs = outer_degrees(ParameterMatrix(((3, 1), (2, 2))), 2)
-        assert (degs.b, degs.c, degs.n) == (1, 2, 2)
+        assert outer_degrees(ParameterMatrix(((3, 1), (2, 2)))) == (1, 2)
 
     def test_bipartite_matrix(self):
-        degs = outer_degrees(ParameterMatrix(((0, 4), (4, 0))), 2)
-        assert degs.b == degs.c == 4
+        assert outer_degrees(ParameterMatrix(((0, 4), (4, 0)))) == (4, 4)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            outer_degrees(ParameterMatrix(((2, 1, 1), (2, 1, 1), (2, 1, 1))), 2)
-
-    def test_rejects_wrong_row_sums(self):
-        with pytest.raises(ValueError):
-            outer_degrees(ParameterMatrix(((3, 1), (2, 2))), 3)
+            outer_degrees(ParameterMatrix(((2, 1, 1), (2, 1, 1), (2, 1, 1))))
 
 
 class TestAdmissibleTemplates:
     def test_family_sums_and_counts(self):
         for n in (1, 2, 3, 4):
-            fams = admissible_matrix_templates(n)
-            assert [f.bc_sum for f in fams] == [4 * n, 2 * n, 2 * n + 1, 2 * n - 1]
-            total = sum(len(f.matrices()) for f in fams)
-            assert total == 6 * n - 2
-            for fam in fams:
-                for m in fam.matrices():
+            templates = two_color_templates(n)
+            assert list(templates) == [4 * n, 2 * n, 2 * n + 1, 2 * n - 1]
+            assert sum(map(len, templates.values())) == 6 * n - 2
+            for total, matrices in templates.items():
+                for m in matrices:
                     assert m.row_sums() == (2 * n, 2 * n)
-                    degs = outer_degrees(m, n)
-                    assert degs.b + degs.c == fam.bc_sum
+                    assert sum(outer_degrees(m)) == total
 
     def test_bipartite_family_is_single_matrix(self):
-        fams = admissible_matrix_templates(3)
-        assert fams[0].matrices() == (ParameterMatrix(((0, 6), (6, 0))),)
+        assert two_color_templates(3)[12] == [ParameterMatrix(((0, 6), (6, 0)))]
 
     def test_smallest_case_has_empty_family(self):
-        fams = admissible_matrix_templates(1)
-        assert [len(f.matrices()) for f in fams] == [1, 1, 2, 0]
+        assert [len(ms) for ms in two_color_templates(1).values()] == [1, 1, 2, 0]
 
     def test_all_matrices_realized_distinct(self):
-        fams = admissible_matrix_templates(2)
-        seen = [m for f in fams for m in f.matrices()]
+        seen = [m for ms in two_color_templates(2).values() for m in ms]
         assert len(seen) == len(set(seen)) == 10
 
-    def test_rejects_non_integer_n(self):
-        for n in (True, 0, 2.0):
-            with pytest.raises(ValueError):
-                admissible_matrix_templates(n)
+
+def _broken(word, n):
+    coloring = PeriodicColoring(word, len(set(word)))
+    return k2_claims_broken(coloring, check_perfect(coloring, make_odd_distance_set(n)).matrix, n)
 
 
 class TestLocalPatterns:
     def test_holds_on_exhaustive_enumeration(self, periodic_k2):
         for n in (1, 2, 3):
-            for coloring, _ in periodic_k2[n].entries:
-                assert check_local_patterns(coloring, n), (n, coloring.word)
-
-    def test_rejects_non_perfect(self):
-        with pytest.raises(ValueError):
-            check_local_patterns(PeriodicColoring((1, 2, 2, 2), 2), 2)
+            for coloring, matrix in periodic_k2[n].entries:
+                broken = k2_claims_broken(coloring, matrix, n)
+                assert "local_patterns" not in broken, (n, coloring.word)
 
     def test_rejects_wrong_color_count(self):
         with pytest.raises(ValueError):
-            check_local_patterns(PeriodicColoring((1, 2, 3), 3), 1)
+            _broken((1, 2, 3), 1)
 
 
 class TestPeriodLengthClaim:
     def test_bipartite_sum_divides_two(self):
-        assert check_period_length_claim(PeriodicColoring((1, 2), 2), 2)
+        assert "period_lengths" not in _broken((1, 2), 2)
 
     def test_equal_sum_divides_4n(self):
         # period 4 divides 4n = 8: divisibility, not equality
-        assert check_period_length_claim(PeriodicColoring((1, 1, 2, 2), 2), 2)
+        assert "period_lengths" not in _broken((1, 1, 2, 2), 2)
 
     def test_odd_sums_divide_exactly(self):
-        assert check_period_length_claim(PeriodicColoring((1, 1, 2), 2), 2)
-        assert check_period_length_claim(PeriodicColoring((1, 1, 2, 2, 2), 2), 2)
+        assert "period_lengths" not in _broken((1, 1, 2), 2)
+        assert "period_lengths" not in _broken((1, 1, 2, 2, 2), 2)
 
     def test_holds_on_exhaustive_enumeration(self, periodic_k2):
         for n in (1, 2, 3):
-            for coloring, _ in periodic_k2[n].entries:
-                assert check_period_length_claim(coloring, n), (n, coloring.word)
-
-    def test_rejects_non_perfect(self):
-        with pytest.raises(ValueError):
-            check_period_length_claim(PeriodicColoring((1, 2, 2, 2), 2), 2)
+            for coloring, matrix in periodic_k2[n].entries:
+                broken = k2_claims_broken(coloring, matrix, n)
+                assert "period_lengths" not in broken, (n, coloring.word)

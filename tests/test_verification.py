@@ -7,6 +7,7 @@ from circulant_colorings import (
     DistanceSet,
     EnumerationResult,
     FiniteColoring,
+    ParameterMatrix,
     PeriodicColoring,
     build_induced_set,
     check_conjecture,
@@ -16,10 +17,9 @@ from circulant_colorings import (
     enumerate_periodic_perfect,
     induce,
     make_odd_distance_set,
-    structural_regression_suite,
 )
 from circulant_colorings import cli, verification
-from conftest import finite_route_report
+from conftest import finite_route_report, k2_claims_broken
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
@@ -143,10 +143,10 @@ class TestCompletenessChecks:
         # the shared rule on the periodic entries gives build_induced_set's
         # words, matrices and tags
         dset = make_odd_distance_set(n)
-        path = verification._path_family(dset, k)
+        tagger = verification._tagger(n, verification._path_family(dset, k))
         tagged = []
         for coloring, matrix in enumerate_periodic_perfect(n, k).entries:
-            tags = frozenset(verification._tags(n, coloring, path))
+            tags = frozenset(tagger(coloring))
             if tags:
                 tagged.append((coloring.word, matrix, tags))
         induced = [(e.coloring.word, e.matrix, e.tags) for e in build_induced_set(n, k).entries]
@@ -255,21 +255,15 @@ class TestRelabelExpansion:
 
 
 class TestRegressionSuite:
-    def test_all_checks_pass_small(self):
-        report = structural_regression_suite(2)
-        assert report.ok
-        assert report.colorings_checked == 18
-        assert set(report.checks) == {
+    def test_all_checks_pass_small(self, periodic_k2):
+        assert [len(periodic_k2[n].entries) for n in (1, 2)] == [4, 18]
+        for coloring, matrix in periodic_k2[2].entries:
+            assert k2_claims_broken(coloring, matrix, 2) == [], coloring.word
+        # the check is not vacuous: a word and matrix no perfect coloring has
+        fake = PeriodicColoring((1, 1, 1, 1, 1, 2), 2), ParameterMatrix(((0, 5), (0, 0)))
+        assert k2_claims_broken(*fake, 1) == [
             "outer_degree_sums",
             "local_patterns",
             "period_lengths",
             "parity_balance",
-        }
-        assert all(report.checks.values())
-        assert all(ws == () for ws in report.witnesses.values())
-
-    def test_json_shape(self):
-        data = structural_regression_suite(1).to_json()
-        assert data["n"] == 1
-        assert data["colorings_checked"] == 4
-        assert set(data["checks"]) == set(data["witnesses"])
+        ]
