@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"work units each search may spend (default {DEFAULT_BUDGET}): vertices colored "
         "plus k! per perfect partition (finite), tree matrices generated, and window digits "
         "placed plus steps walked (infinite); part words plus colorings built (construct --family "
-        "balanced) and per-edge assignments (construct --family matched and two-color)",
+        "balanced, matched and two-color)",
     )
 
     parser = argparse.ArgumentParser(

@@ -1,22 +1,33 @@
 """Explicit perfect colorings: path periods and the three finite families.
 
 Each finite order has one exhaustive driver, which builds its perfect
-colorings from the order's rule.  Ci_{4n}(D_n) is the complete bipartite
-graph K_{2n,2n}; a coloring is perfect there iff the two parts use disjoint
-color sets or every color appears equally often in both (all_4n_colorings).
-Ci_{4n+2}(D_n) is K_{2n+1,2n+1} minus the perfect matching {(i, i+2n+1)},
-and Ci_{4n-2}(D_n) is K_{2n-1,2n-1} with the matching {(i, i+2n-1)} doubled.
-all_matched_colorings builds both from color splits: the colors fall into
-a monochrome set C1 and a paired-up set C2, a C1 edge repeats one color on
-both endpoints, and C2 edges come in pairs (v_e,v_o),(u_e,u_o) colored x,y
-and y,x so the even/odd color exchange stays consistent.  A bipartite split
-instead pairs disjoint even-side and odd-side color sets across every edge.
+colorings from the order's rule.  Both drivers make every part word (the
+colors of one parity class, in order) once and bucket it, by its color
+counts if it uses all k colors and by its color set otherwise
+(_part_words).
 
-Matching edges are indexed by their smaller endpoint i; the endpoint of even
-index is derived per edge, since i itself may be odd.
+Ci_{4n}(D_n) is the complete bipartite graph K_{2n,2n}; a coloring is
+perfect there iff the two parts use disjoint color sets or every color
+appears equally often in both (all_4n_colorings).
+
+Ci_{4n+2}(D_n) is K_{2n+1,2n+1} minus the perfect matching {(i, i+2n+1)},
+and Ci_{4n-2}(D_n) is K_{2n-1,2n-1} with the matching {(i, i+2n-1)} doubled
+(all_matched_colorings).  Either way a vertex sees every vertex of the other
+part, less or plus its matched vertex, so a coloring is perfect iff the
+matching carries each color a of one part to one color sigma(a) of the
+other, with sigma one of:
+  * an involution of all k colors that keeps the color counts, both parts
+    having the same counts: fixed colors are monochrome matching edges, and
+    each 2-cycle {x, y} holds edges colored x,y and y,x;
+  * a bijection from the even part's k/2 colors onto the odd part's other
+    k/2 colors (bipartite).
+Why: with E, O the parts' count vectors, a color a on both parts needs
+O - E = +-(e_sigma(a) - e_sigma^-1(a)).  If that is nonzero, sigma's
+injectivity leaves a the only shared color and forces m = 2, but m = t/2 is
+odd; so O = E, every color is on both parts and sigma is an involution.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 from .core import (
@@ -68,79 +79,70 @@ def _matched_graph(n: int, t: int) -> int:
     return t // 2
 
 
-def _matched_word(t: int, pairs) -> tuple[int, ...]:
-    """The word of Ci_t(D_n) whose matching edge i has colors pairs[i].
+def _part_words(k: int, length: int):
+    """Every part word over 1..k, made once and bucketed.
 
-    pairs[i] is (even endpoint color, odd endpoint color) for edge
-    {i, i + t/2}; t/2 is odd, so the two endpoints differ in parity.
+    Returns (by_counts, by_set): a word using all k colors goes into
+    by_counts under its color counts, any other into by_set under its color
+    set.
     """
-    step = t // 2
-    word = [0] * t
-    for u, (even_color, odd_color) in enumerate(pairs):
-        even_end, odd_end = (u, u + step) if u % 2 == 0 else (u + step, u)
-        word[even_end] = even_color
-        word[odd_end] = odd_color
-    return tuple(word)
-
-
-def _pair_partitions(colors: tuple[int, ...]):
-    """All partitions of the color tuple into unordered pairs."""
-    if not colors:
-        yield ()
-        return
-    first, rest = colors[0], colors[1:]
-    for i, other in enumerate(rest):
-        for tail in _pair_partitions(rest[:i] + rest[i + 1 :]):
-            yield ((first, other),) + tail
+    colors = range(1, k + 1)
+    everything = frozenset(colors)
+    by_counts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    by_set: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for word in product(colors, repeat=length):
+        used = frozenset(word)
+        if used == everything:
+            by_counts.setdefault(tuple(map(word.count, colors)), []).append(word)
+        else:
+            by_set.setdefault(used, []).append(word)
+    return by_counts, by_set
 
 
 def all_matched_colorings(
     n: int, t: int, k: int, budget: int | None = None
 ) -> tuple[FiniteColoring, ...]:
-    """Every perfect k-coloring of Ci_t(D_n) for t = 4n+-2, via split drivers.
+    """Every perfect k-coloring of Ci_t(D_n) for t = 4n+-2, built from its rule.
 
-    Enumerates all color splits, each as its allowed (even end, odd end)
-    pairs, then all per-edge assignments that use every pair and give the
-    two orientations of each swap pair equally many edges (the pairing of C2
-    edges).  Results are deduplicated as words.  The budget's unit is one
-    per-edge assignment scanned, spent for each split before its scan.
+    With m = t/2, even vertex 2j is matched to odd vertex 2j+m, so the odd
+    part word is sigma of the even part word rotated by (m-1)/2, for each
+    sigma the rule allows: an involution of all k colors that keeps the
+    even word's color counts, or a bijection from the even word's k/2
+    colors onto the others (module docstring).  The budget's unit is one
+    part word or one coloring built: the k^m part words are spent before
+    bucketing, and the number of colorings, taken from the bucket sizes,
+    before building.  Every word built uses all k colors, so the colorings
+    are built without re-validation.
     """
-    n_edges = _matched_graph(n, t)
+    m = _matched_graph(n, t)
     require_positive_int("k", k)
-    meter = WorkMeter(budget, f"matched driver for n={n}, t={t}, k={k}", "per-edge assignments")
+    meter = WorkMeter(
+        budget, f"matched driver for n={n}, t={t}, k={k}", "part words plus colorings built"
+    )
+    meter.spend(k**m)
+    by_counts, by_set = _part_words(k, m)
     colors = tuple(range(1, k + 1))
-    # Each split as (its allowed (even, odd) pairs, its swap pairs).
-    splits = []
-    # Bipartite splits need |C_e| = |C_o|, so k must be even.
-    if k % 2 == 0:
-        for partition in _pair_partitions(colors):
-            for orientation in product((0, 1), repeat=len(partition)):
-                pairs = tuple((p[o], p[1 - o]) for p, o in zip(partition, orientation))
-                splits.append((pairs, ()))
-    # Non-bipartite splits: C1 monochrome, C2 paired up.
-    for mono_mask in product((False, True), repeat=k):
-        mono = tuple(c for c, m in zip(colors, mono_mask) if m)
-        paired = tuple(c for c, m in zip(colors, mono_mask) if not m)
-        if len(paired) % 2 != 0:
-            continue
-        for partition in _pair_partitions(paired):
-            pairs = tuple((c, c) for c in mono)
-            pairs += tuple(p for x, y in partition for p in ((x, y), (y, x)))
-            splits.append((pairs, partition))
-
-    found: dict[tuple[int, ...], FiniteColoring] = {}
-    for pairs, swaps in splits:
-        meter.spend(len(pairs) ** n_edges)
-        everything = set(pairs)
-        for choice in product(pairs, repeat=n_edges):
-            if set(choice) != everything or any(
-                choice.count((x, y)) != choice.count((y, x)) for x, y in swaps
-            ):
-                continue
-            word = _matched_word(t, choice)
-            if word not in found:
-                found[word] = FiniteColoring(word, k)
-    return tuple(found[w] for w in sorted(found))
+    # Each bucket's even words with their sigmas; sigmas only for buckets that exist.
+    involutions = [dict(zip(colors, p)) for p in permutations(colors)] if by_counts else []
+    involutions = [s for s in involutions if all(s[s[c]] == c for c in colors)]
+    plans = [
+        (evens, [s for s in involutions if all(counts[s[c] - 1] == counts[c - 1] for c in colors)])
+        for counts, evens in by_counts.items()
+    ]
+    plans += [
+        (evens, [dict(zip(sorted(used), p)) for p in permutations(sorted(set(colors) - used))])
+        for used, evens in by_set.items()
+        if 2 * len(used) == k
+    ]
+    meter.spend(sum(len(evens) * len(sigmas) for evens, sigmas in plans))
+    r = (m - 1) // 2
+    words = [
+        _interleave(even, tuple(map(sigma.__getitem__, even[-r:] + even[:-r])))
+        for evens, sigmas in plans
+        for even in evens
+        for sigma in sigmas
+    ]
+    return tuple(_built_coloring(FiniteColoring, word, k) for word in sorted(words))
 
 
 def count_4n_colorings(n: int, k: int) -> int:
@@ -188,16 +190,8 @@ def all_4n_colorings(n: int, k: int, budget: int | None = None) -> tuple[FiniteC
     )
     meter.spend(k ** (2 * n))
     meter.spend(count_4n_colorings(n, k))
-    colors = range(1, k + 1)
-    everything = frozenset(colors)
-    by_counts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    by_set: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for word in product(colors, repeat=2 * n):
-        used = frozenset(word)
-        if used == everything:
-            by_counts.setdefault(tuple(map(word.count, colors)), []).append(word)
-        else:
-            by_set.setdefault(used, []).append(word)
+    by_counts, by_set = _part_words(k, 2 * n)
+    everything = frozenset(range(1, k + 1))
     words = [
         _interleave(even, odd) for part in by_counts.values() for even in part for odd in part
     ]

@@ -99,6 +99,7 @@ def is_bipartite_coloring(coloring: Coloring, dset: DistanceSet) -> bool:
     Only meaningful on a bipartite graph, so every distance must be odd and a
     finite order must be even.
     """
+    require_distance_set(dset)
     if any(d % 2 == 0 for d in dset):
         raise ValueError(f"graph is not bipartite: even distance in {dset.distances!r}")
     if isinstance(coloring, FiniteColoring) and coloring.t % 2 != 0:

@@ -103,6 +103,71 @@ def brute_perfect_words(t, distances, k):
     }
 
 
+def _matched_word(t, pairs):
+    """The word of Ci_t(D_n) whose matching edge i has colors pairs[i].
+
+    pairs[i] is (even endpoint color, odd endpoint color) for edge
+    {i, i + t/2}; t/2 is odd, so the two endpoints differ in parity.
+    """
+    step = t // 2
+    word = [0] * t
+    for u, (even_color, odd_color) in enumerate(pairs):
+        even_end, odd_end = (u, u + step) if u % 2 == 0 else (u + step, u)
+        word[even_end] = even_color
+        word[odd_end] = odd_color
+    return tuple(word)
+
+
+def _pair_partitions(colors):
+    """All partitions of the color tuple into unordered pairs."""
+    if not colors:
+        yield ()
+        return
+    first, rest = colors[0], colors[1:]
+    for i, other in enumerate(rest):
+        for tail in _pair_partitions(rest[:i] + rest[i + 1 :]):
+            yield ((first, other),) + tail
+
+
+def scan_matched_colorings(t, k):
+    """Every perfect k-coloring word of Ci_t(D_n), t = 4n+-2, by color splits.
+
+    The colors fall into a monochrome set C1 and a paired-up set C2: a C1
+    matching edge repeats one color on both endpoints, and C2 edges come in
+    pairs colored x,y and y,x.  A bipartite split instead pairs disjoint
+    even-side and odd-side color sets across every edge.  Each split is
+    scanned over all its per-edge assignments, keeping those that use every
+    pair and give a swap pair's two orientations equally many edges.
+    """
+    colors = tuple(range(1, k + 1))
+    # Each split as (its allowed (even, odd) pairs, its swap pairs).
+    splits = []
+    if k % 2 == 0:
+        for partition in _pair_partitions(colors):
+            for orientation in itertools.product((0, 1), repeat=len(partition)):
+                pairs = tuple((p[o], p[1 - o]) for p, o in zip(partition, orientation))
+                splits.append((pairs, ()))
+    for mono_mask in itertools.product((False, True), repeat=k):
+        mono = tuple(c for c, m in zip(colors, mono_mask) if m)
+        paired = tuple(c for c, m in zip(colors, mono_mask) if not m)
+        if len(paired) % 2 != 0:
+            continue
+        for partition in _pair_partitions(paired):
+            pairs = tuple((c, c) for c in mono)
+            pairs += tuple(p for x, y in partition for p in ((x, y), (y, x)))
+            splits.append((pairs, partition))
+    found = set()
+    for pairs, swaps in splits:
+        everything = set(pairs)
+        for choice in itertools.product(pairs, repeat=t // 2):
+            if set(choice) != everything or any(
+                choice.count((x, y)) != choice.count((y, x)) for x, y in swaps
+            ):
+                continue
+            found.add(_matched_word(t, choice))
+    return sorted(found)
+
+
 @functools.cache
 def _scanned_perfect_classes(t, dset, k):
     """(class word, matrix) of every perfect color-class partition, by a full scan.

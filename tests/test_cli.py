@@ -259,10 +259,10 @@ class TestConstruct:
         assert len(text.splitlines()) == 24
 
     def test_budget_reaches_the_matched_drivers(self, tmp_path, capsys):
-        # per-edge assignments: 1 + 1 + 2^5 + 2^5 at (2, 10, 2) and 6 at (1, 2, 2)
+        # part words plus colorings built: 2^5 + 32 at (2, 10, 2) and 2 + 2 at (1, 2, 2)
         two_color = ("construct", "--family", "two-color", "--n", "2", "--t", "10")
         matched = ("construct", "--family", "matched", "--n", "1", "--t", "2", "--k", "2")
-        for argv, spent in ((two_color, 66), (matched, 6)):
+        for argv, spent in ((two_color, 64), (matched, 4)):
             assert run(tmp_path, *argv, "--budget", str(spent))[0] == 0
             capsys.readouterr()
             assert run(tmp_path, *argv, "--budget", str(spent - 1))[0] == 2

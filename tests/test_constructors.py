@@ -9,11 +9,12 @@ from circulant_colorings import (
     all_matched_colorings,
     check_perfect,
     count_4n_colorings,
+    enumerate_perfect_finite,
     is_bipartite_coloring,
     make_odd_distance_set,
     path_colorings,
 )
-from conftest import brute_perfect_words
+from conftest import brute_perfect_words, scan_matched_colorings
 
 D1 = DistanceSet((1,))
 D2 = DistanceSet((1, 3))
@@ -73,7 +74,7 @@ class TestConstruct4n:
 
 
 class TestMatchedConstructions:
-    # worked examples of the color splits, found among the driver's output
+    # worked examples of the matching rule, found among the driver's output
     def test_removed_matching_bipartite_case(self):
         built = {c.word: c for c in all_matched_colorings(1, 6, 2)}
         assert check_perfect(built[(1, 2, 1, 2, 1, 2)], D1).is_perfect
@@ -127,12 +128,12 @@ class TestDriverCompleteness:
                 all_4n_colorings(n, k)
 
     def test_matched_driver_budget(self):
-        # the budget counts per-edge assignments, spent per color split:
-        # 1 + 1 for the two bipartite splits of (1, 2, 2), 2 + 2 for the others
-        assert len(all_matched_colorings(1, 2, 2, budget=6)) == 2
+        # the budget counts the k^(t/2) part words plus the colorings built:
+        # 2^1 + 2 at (1, 2, 2)
+        assert len(all_matched_colorings(1, 2, 2, budget=4)) == 2
         with pytest.raises(BudgetExceededError):
-            all_matched_colorings(1, 2, 2, budget=5)
-        # 5^11 assignments for one split pass the default of 2^24 at once
+            all_matched_colorings(1, 2, 2, budget=3)
+        # 5^11 part words pass the default of 2^24 at once
         with pytest.raises(BudgetExceededError, match="spent 48828125 units"):
             all_matched_colorings(5, 22, 5)
         for budget in (2.5, True, 0, -1, "x"):
@@ -152,6 +153,21 @@ class TestDriverCompleteness:
         for k in (2, 3):
             built = {c.word for c in all_matched_colorings(2, 6, k)}
             assert built == brute_perfect_words(6, (1, 3), k), k
+
+    def test_matched_driver_matches_split_scan(self):
+        sizes = [(n, k) for n in (1, 2) for k in range(1, 7)] + [(3, k) for k in range(1, 5)]
+        for n, k in sizes:
+            for t in (4 * n - 2, 4 * n + 2):
+                built = [c.word for c in all_matched_colorings(n, t, k)]
+                assert built == scan_matched_colorings(t, k), (n, t, k)
+
+    def test_matched_driver_matches_finite_search(self):
+        # Ci_10(D_3) and Ci_14(D_3) are the doubled and removed matchings
+        for t, size in ((10, 300), (14, 2982)):
+            built = {c.word for c in all_matched_colorings(3, t, 3)}
+            found = enumerate_perfect_finite(t, make_odd_distance_set(3), 3)
+            assert len(built) == size
+            assert built == found.words(), t
 
     def test_matched_driver_rejects_wrong_order(self):
         with pytest.raises(ValueError):
@@ -180,11 +196,10 @@ class TestTwoColorCases:
             assert words == brute_perfect_words(t, (1, 3), 2), t
 
     def test_budget(self):
-        # 1 + 1 per-edge assignments for the bipartite splits, 2^3 + 2^3 for
-        # the monochrome and swapped ones
-        assert len(all_matched_colorings(2, 6, 2, budget=18)) == 8
+        # 2^3 part words plus 8 colorings built
+        assert len(all_matched_colorings(2, 6, 2, budget=16)) == 8
         with pytest.raises(BudgetExceededError):
-            all_matched_colorings(2, 6, 2, budget=17)
+            all_matched_colorings(2, 6, 2, budget=15)
 
     def test_all_verify_perfect(self):
         for c in all_matched_colorings(2, 6, 2):

@@ -303,7 +303,7 @@ class TestJsonRoundTrip:
         (lambda b: all_4n_colorings(1, 2, budget=b),
          "balanced driver for n=1, k=2", "part words plus colorings built", 10, 9),
         (lambda b: all_matched_colorings(1, 2, 2, budget=b),
-         "matched driver for n=1, t=2, k=2", "per-edge assignments", 6, 5),
+         "matched driver for n=1, t=2, k=2", "part words plus colorings built", 4, 3),
     ],
 )
 def test_every_search_refuses_in_the_one_budget_format(search, search_name, unit, spent, budget):

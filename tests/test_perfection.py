@@ -141,8 +141,10 @@ class TestBipartiteColoring:
             is_bipartite_coloring(FiniteColoring((1, 2, 2), 2), DistanceSet((1,)))
 
     def test_rejects_even_distance(self):
-        with pytest.raises(ValueError):
-            is_bipartite_coloring(FiniteColoring((1, 2, 1, 2), 2), DistanceSet((2,)))
+        # a raw tuple is refused as check_perfect refuses it, even distance or not
+        for dset in (DistanceSet((2,)), (2,), (1, 3)):
+            with pytest.raises(ValueError):
+                is_bipartite_coloring(FiniteColoring((1, 2, 1, 2), 2), dset)
 
 
 class TestEvenOddBalance:
